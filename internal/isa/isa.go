@@ -64,6 +64,8 @@ func (c Class) String() string {
 }
 
 // IsMem reports whether the class accesses the data cache.
+//
+//mflush:hotpath
 func (c Class) IsMem() bool { return c == ClassLoad || c == ClassStore }
 
 // IsControl reports whether the class can redirect fetch.
@@ -72,10 +74,14 @@ func (c Class) IsControl() bool {
 }
 
 // UsesFP reports whether the class issues from the floating-point queue.
+//
+//mflush:hotpath
 func (c Class) UsesFP() bool { return c == ClassFP || c == ClassFPDiv }
 
 // ExecLatency returns the execution latency in cycles for the class,
 // excluding memory-hierarchy time for loads/stores.
+//
+//mflush:hotpath
 func (c Class) ExecLatency() int {
 	switch c {
 	case ClassInt, ClassBranch, ClassCall, ClassReturn:

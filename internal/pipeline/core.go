@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -104,12 +105,26 @@ type Core struct {
 
 	// Recycling pools and per-cycle scratch. All per-core (cores are
 	// ticked sequentially within a chip), so no locking is needed.
-	uopFree     []*UOp
+	uopFree []*UOp
+	// deps is the dependent-node pool behind every uop's dependent list
+	// (UOp.deps); index 0 is the nil sentinel and free nodes are chained
+	// from depFree through their next links. It grows on demand and is
+	// never shrunk, so steady-state renames allocate nothing.
+	deps        []depNode
+	depFree     int32
 	loadFree    []*policy.LoadInfo
 	reqPool     mem.RequestPool
 	fetchOrder  []int
 	renameBlock []bool
 	replayTmp   []isa.Inst
+}
+
+// depNode links one waiting consumer onto its producer's dependent list.
+// The reference is generation-checked: a consumer squashed and recycled
+// before its producer executes leaves a stale link that wakeup skips.
+type depNode struct {
+	u    uopRef
+	next int32
 }
 
 type delayedSubmit struct {
@@ -187,6 +202,7 @@ func New(id int, cfg *config.Config, pol policy.Policy, l2 *mem.L2System,
 		mshr:        cache.NewMSHR(cfg.Core.MSHREntries),
 		slotWaiters: make([][]*UOp, cfg.Core.MSHREntries),
 		slotLoads:   make([][]*policy.LoadInfo, cfg.Core.MSHREntries),
+		deps:        make([]depNode, 1, 64),
 		renameBlock: make([]bool, cfg.Core.ThreadsPerCore),
 		pageBits:    pageBits,
 	}
@@ -484,11 +500,76 @@ func (c *Core) writebackStage(now uint64) {
 	}
 }
 
-// markExecuted completes a uop: the result is produced and dependents may
-// issue from the next cycle. The physical register is held to commit.
+// markExecuted completes a uop: the result is produced and its waiting
+// dependents are woken — each one whose last pending producer this was
+// becomes issuable in this cycle's issue stage, which runs after every
+// wakeup site. It is the only place Executed is set. The physical
+// register is held to commit.
+//
+//mflush:hotpath
 func (c *Core) markExecuted(u *UOp, now uint64) {
 	u.Executed = true
 	u.DoneAt = now
+	for n := u.deps; n != 0; {
+		d := &c.deps[n]
+		if w := d.u.live(); w != nil {
+			w.pending--
+			if w.pending == 0 {
+				c.queueFor(w.Inst.Class).markReady(w)
+			}
+		}
+		next := d.next
+		c.freeDep(n)
+		n = next
+	}
+	u.deps = 0
+}
+
+// dependOn makes u, being renamed, wait for producer p (nil: the value
+// is architectural) unless p has already executed.
+//
+//mflush:hotpath
+func (c *Core) dependOn(u, p *UOp) {
+	if p == nil || p.Executed {
+		return
+	}
+	u.pending++
+	n := c.allocDep()
+	c.deps[n] = depNode{u: mkRef(u), next: p.deps}
+	p.deps = n
+}
+
+// releaseDeps returns u's whole dependent list to the pool without
+// waking anyone: u is being squashed, so every dependent — younger, in
+// the same thread — has been squashed already.
+//
+//mflush:hotpath
+func (c *Core) releaseDeps(u *UOp) {
+	for n := u.deps; n != 0; {
+		next := c.deps[n].next
+		c.freeDep(n)
+		n = next
+	}
+	u.deps = 0
+}
+
+// allocDep takes a node from the dependent pool's free list, growing the
+// pool when it is empty.
+//
+//mflush:hotpath
+func (c *Core) allocDep() int32 {
+	if n := c.depFree; n != 0 {
+		c.depFree = c.deps[n].next
+		return n
+	}
+	c.deps = append(c.deps, depNode{})
+	return int32(len(c.deps) - 1)
+}
+
+//mflush:hotpath
+func (c *Core) freeDep(n int32) {
+	c.deps[n] = depNode{next: c.depFree}
+	c.depFree = n
 }
 
 func (c *Core) resolveControl(u *UOp, now uint64) {
@@ -521,70 +602,47 @@ func (c *Core) resolveControl(u *UOp, now uint64) {
 
 // ---- issue ----
 
+//mflush:hotpath
 func (c *Core) issueStage(now uint64) {
-	// Direct age-order walks over the queue slots (no per-entry callback):
-	// this loop visits every waiting uop every cycle, so it is the
-	// simulator's single hottest code.
-	units := c.cfg.Core.IntUnits
-	for _, u := range c.intQ.liveFrom() {
-		if units == 0 {
-			break
-		}
-		if u != nil && c.ready(u, now) {
-			units--
-			c.issueALU(u, now)
-		}
+	c.issueFrom(c.intQ, c.cfg.Core.IntUnits, now)
+	c.issueFrom(c.fpQ, c.cfg.Core.FPUnits, now)
+	c.issueFrom(c.lsQ, c.cfg.Core.LSUnits, now)
+}
+
+// issueFrom issues the oldest operand-ready uops of q, up to units of
+// them, skipping loads and stores still waiting out a replay delay
+// (RetryAt). A memory uop that replays (TLB walk, full MSHR file) still
+// consumes its unit. Only wakeup sets ready bits and issue runs after
+// every wakeup site, so the bitmap is stable for the whole walk apart
+// from the bits issue itself clears.
+//
+//mflush:hotpath
+func (c *Core) issueFrom(q *queue, units int, now uint64) {
+	if units <= 0 {
+		return
 	}
-	units = c.cfg.Core.FPUnits
-	for _, u := range c.fpQ.liveFrom() {
-		if units == 0 {
-			break
-		}
-		if u != nil && c.ready(u, now) {
+	for w, word := range q.ready {
+		for word != 0 {
+			u := q.slots[w<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			if u.RetryAt > now {
+				continue
+			}
+			if q == c.lsQ {
+				c.issueMem(u, now)
+			} else {
+				c.issueALU(q, u, now)
+			}
 			units--
-			c.issueALU(u, now)
-		}
-	}
-	units = c.cfg.Core.LSUnits
-	for _, u := range c.lsQ.liveFrom() {
-		if units == 0 {
-			break
-		}
-		if u != nil && c.ready(u, now) {
-			units--
-			c.issueMem(u, now)
+			if units == 0 {
+				return
+			}
 		}
 	}
 }
 
-func (c *Core) ready(u *UOp, now uint64) bool {
-	if u.RetryAt > now {
-		return false
-	}
-	// A producer observed executed — or recycled, which implies it
-	// executed or squashed together with u — never becomes un-executed
-	// again, so the reference is dropped once satisfied and later checks
-	// skip the pointer chase.
-	if p := u.Src1Prod.u; p != nil {
-		if p.Gen == u.Src1Prod.gen && !p.Executed {
-			return false
-		}
-		u.Src1Prod = uopRef{}
-	}
-	if p := u.Src2Prod.u; p != nil {
-		if p.Gen == u.Src2Prod.gen && !p.Executed {
-			return false
-		}
-		u.Src2Prod = uopRef{}
-	}
-	return true
-}
-
-func (c *Core) issueALU(u *UOp, now uint64) {
-	q := c.intQ
-	if u.Inst.Class.UsesFP() {
-		q = c.fpQ
-	}
+//mflush:hotpath
+func (c *Core) issueALU(q *queue, u *UOp, now uint64) {
 	q.remove(u)
 	c.threads[u.Tid].icount--
 	u.Issued = true
@@ -592,11 +650,18 @@ func (c *Core) issueALU(u *UOp, now uint64) {
 	c.schedule(u, now+uint64(u.Inst.Class.ExecLatency()))
 }
 
+//mflush:hotpath
 func (c *Core) schedule(u *UOp, at uint64) {
 	u.InWheel = true
 	c.wheel[int(at%wheelSize)] = append(c.wheel[int(at%wheelSize)], u)
 }
 
+// issueMem translates, then issues or replays, one load or store. It
+// calls into the TLB, L1, MSHR, request-pool and policy models, which
+// carry no hot-path annotations of their own; their steady state is
+// held allocation-free by the cycle-loop alloc budget test instead.
+//
+//mflush:hotpath-ok
 func (c *Core) issueMem(u *UOp, now uint64) {
 	// Address translation first; a TLB walk delays the access.
 	if !u.TLBDone {
@@ -711,6 +776,7 @@ func (c *Core) renameStage(now uint64) {
 	}
 }
 
+//mflush:hotpath
 func (c *Core) queueFor(class isa.Class) *queue {
 	switch {
 	case class.UsesFP():
@@ -737,11 +803,16 @@ func (c *Core) tryRename(t *thread, u *UOp) bool {
 		c.stats.Bump(cRenameBlockedRegs, 1)
 		return false
 	}
+	var p1 *UOp
 	if s := u.Inst.Src1; s != isa.InvalidReg {
-		u.Src1Prod = t.regProd[s]
+		p1 = t.regProd[s].live()
+		c.dependOn(u, p1)
 	}
 	if s := u.Inst.Src2; s != isa.InvalidReg {
-		u.Src2Prod = t.regProd[s]
+		// Both sources naming one producer is one wait, woken once.
+		if p2 := t.regProd[s].live(); p2 != p1 {
+			c.dependOn(u, p2)
+		}
 	}
 	if needsReg {
 		c.freePRegs--
@@ -856,6 +927,7 @@ func (c *Core) undoUop(t *thread, u *UOp, forFlush bool, replay *[]isa.Inst, now
 		c.heldPRegs[u.Tid]--
 		u.HasPReg = false
 	}
+	c.releaseDeps(u)
 	if u.Inst.HasDest() && t.regProd[u.Inst.Dest].refersTo(u) {
 		t.regProd[u.Inst.Dest] = u.PrevProd
 	}
@@ -1111,6 +1183,12 @@ func (c *Core) CheckInvariants() error {
 		if n > 0 {
 			return fmt.Errorf("pipeline: %d squashed uops resident in an issue queue", n)
 		}
+		if err := q.checkReady(); err != nil {
+			return err
+		}
+	}
+	if err := c.checkDepPool(); err != nil {
+		return err
 	}
 	waiterLines := 0
 	for _, ws := range c.slotWaiters {
@@ -1121,6 +1199,59 @@ func (c *Core) CheckInvariants() error {
 	if c.mshr.InUse() != waiterLines {
 		return fmt.Errorf("pipeline: MSHR in use %d != waiter lines %d",
 			c.mshr.InUse(), waiterLines)
+	}
+	return nil
+}
+
+// checkReady validates the ready bitmap against the slots: a bit is set
+// exactly on the slots holding a uop with no pending producer.
+func (q *queue) checkReady() error {
+	for i := 0; i < len(q.ready)*64; i++ {
+		bit := q.ready[i>>6]&(1<<(i&63)) != 0
+		var u *UOp
+		if i < len(q.slots) {
+			u = q.slots[i]
+		}
+		switch {
+		case u == nil && bit:
+			return fmt.Errorf("pipeline: ready bit set on empty issue-queue slot %d", i)
+		case u != nil && bit != (u.pending == 0):
+			return fmt.Errorf("pipeline: issue-queue slot %d ready bit %v with %d pending producers",
+				i, bit, u.pending)
+		}
+	}
+	return nil
+}
+
+// checkDepPool validates dependent-node conservation: every allocated
+// node is either on the free list or linked into the dependent list of a
+// renamed, not-yet-executed uop (squashed producers release their lists
+// at squash time).
+func (c *Core) checkDepPool() error {
+	allocated := len(c.deps) - 1
+	free := 0
+	for n := c.depFree; n != 0; n = c.deps[n].next {
+		if free++; free > allocated {
+			return fmt.Errorf("pipeline: dependent-node free list is cyclic")
+		}
+	}
+	linked := 0
+	for _, t := range c.threads {
+		for i := 0; i < t.rob.len(); i++ {
+			u := t.rob.at(i)
+			if u.Executed && u.deps != 0 {
+				return fmt.Errorf("pipeline: executed uop still holds a dependent list")
+			}
+			for n := u.deps; n != 0; n = c.deps[n].next {
+				if linked++; linked > allocated {
+					return fmt.Errorf("pipeline: dependent list is cyclic")
+				}
+			}
+		}
+	}
+	if free+linked != allocated {
+		return fmt.Errorf("pipeline: dependent-node leak: free=%d linked=%d allocated=%d",
+			free, linked, allocated)
 	}
 	return nil
 }

@@ -31,11 +31,15 @@ type UOp struct {
 	FetchedAt     uint64
 	RenameReadyAt uint64
 
-	// Src1Prod/Src2Prod reference the most recent producers of the
-	// source registers at rename time (dead ref: value architectural).
-	Src1Prod, Src2Prod uopRef
 	// PrevProd restores the rename table if this uop is squashed.
 	PrevProd uopRef
+	// pending counts the distinct source producers that had not executed
+	// at rename and have not executed since; the uop is operand-ready
+	// (its queue's ready bit is set) exactly when it is zero.
+	pending int32
+	// deps heads this uop's dependent list in the core's dependent-node
+	// pool (0: none); markExecuted walks it to wake the consumers.
+	deps int32
 
 	// Resource ownership flags (see core.go squash/commit for the
 	// conservation rules).
@@ -83,10 +87,14 @@ type uopRef struct {
 }
 
 // mkRef captures a reference to a live uop.
+//
+//mflush:hotpath
 func mkRef(u *UOp) uopRef { return uopRef{u: u, gen: u.Gen} }
 
 // live returns the referenced uop if it has not been recycled since the
 // reference was taken, else nil.
+//
+//mflush:hotpath
 func (r uopRef) live() *UOp {
 	if r.u != nil && r.u.Gen == r.gen {
 		return r.u
@@ -206,65 +214,90 @@ func (r *ring) at(i int) *UOp {
 
 // queue is a shared issue queue: a bounded collection preserving age
 // order, with O(1) free-slot tracking and mid-queue removal by nil-ing.
-// head is a lazily advanced index of the first possibly-live slot, so
-// per-cycle walks skip the nil prefix left by issued/squashed uops.
+// ready is a bitmap over slot indices with a bit set for every resident
+// uop whose operands are all produced, so issue selection visits only
+// issuable slots, in age order, and never the holes removals leave.
 type queue struct {
 	slots []*UOp
+	ready []uint64
 	count int
 	cap   int
-	head  int
 }
 
-// liveFrom advances head past leading nils and returns the live window.
-// Slots inside the window may still be nil (mid-queue removals).
-func (q *queue) liveFrom() []*UOp {
-	for q.head < len(q.slots) && q.slots[q.head] == nil {
-		q.head++
-	}
-	return q.slots[q.head:]
-}
-
+// newQueue sizes the slot array for its largest uncompacted length
+// (insert compacts once it reaches twice the capacity), so the queue
+// never reallocates.
 func newQueue(capacity int) *queue {
-	return &queue{slots: make([]*UOp, 0, capacity+8), cap: capacity}
+	return &queue{
+		slots: make([]*UOp, 0, 2*capacity),
+		ready: make([]uint64, (2*capacity+63)/64),
+		cap:   capacity,
+	}
 }
 
+//mflush:hotpath
 func (q *queue) hasSpace() bool { return q.count < q.cap }
-func (q *queue) len() int       { return q.count }
 
+func (q *queue) len() int { return q.count }
+
+//mflush:hotpath
 func (q *queue) insert(u *UOp) {
 	if !q.hasSpace() {
 		panic("pipeline: issue queue overflow")
 	}
-	// Compact at insert time only: remove() may run inside scan(), and
-	// compacting there would corrupt the live iteration.
+	// Compact at insert time only: remove() runs during issue selection,
+	// and compacting there would move slots under the selection walk.
 	if len(q.slots) >= 2*q.cap && q.count*2 <= len(q.slots) {
+		clear(q.ready)
 		live := q.slots[:0]
 		for _, s := range q.slots {
 			if s != nil {
 				s.qIdx = int32(len(live))
 				live = append(live, s)
+				if s.pending == 0 {
+					q.setBit(s.qIdx)
+				}
 			}
 		}
 		q.slots = live
-		q.head = 0
 	}
 	u.qIdx = int32(len(q.slots))
 	q.slots = append(q.slots, u)
 	q.count++
 	u.InQueue = true
+	if u.pending == 0 {
+		q.setBit(u.qIdx)
+	}
 }
 
 // remove drops u from the queue (issue or squash) in O(1) via the slot
 // index recorded at insert.
+//
+//mflush:hotpath
 func (q *queue) remove(u *UOp) {
 	i := int(u.qIdx)
 	if !u.InQueue || i < 0 || i >= len(q.slots) || q.slots[i] != u {
 		panic("pipeline: removing uop not in queue")
 	}
 	q.slots[i] = nil
+	q.ready[i>>6] &^= 1 << (i & 63)
 	q.count--
 	u.InQueue = false
 }
+
+// markReady sets the ready bit of u, a resident uop whose last pending
+// producer just executed.
+//
+//mflush:hotpath
+func (q *queue) markReady(u *UOp) {
+	if !u.InQueue {
+		panic("pipeline: waking uop not in an issue queue")
+	}
+	q.setBit(u.qIdx)
+}
+
+//mflush:hotpath
+func (q *queue) setBit(i int32) { q.ready[i>>6] |= 1 << (i & 63) }
 
 // scan calls f on each entry in age order until f returns false.
 func (q *queue) scan(f func(u *UOp) bool) {

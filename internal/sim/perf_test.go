@@ -38,6 +38,30 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 	}
 }
 
+// TestOpenAllocBudget caps the bytes sim.Open allocates for the paper's
+// largest machine (8W3). Open is paid once per job; its dominant costs
+// are the caches themselves, and the L2 prewarm must stream into the L2
+// rather than materialise its fill plan (which alone once tripled the
+// per-job allocation).
+func TestOpenAllocBudget(t *testing.T) {
+	w, _ := workload.ByName("8W3")
+	opt := Options{Workload: w, Policy: SpecMFLUSH, Cycles: 1, Seed: 1}
+	const budget = 3 << 20
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Open(opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Open(8W3) allocated %.2f MB", float64(bytes)/(1<<20))
+	if bytes > budget {
+		t.Fatalf("Open(8W3) allocated %d bytes, budget is %d", bytes, budget)
+	}
+}
+
 // fingerprint flattens every externally observable metric of a Result.
 func fingerprint(r *Result) string {
 	return fmt.Sprintf("ipc=%.12f committed=%v percore=%v flushes=%d wasted=%.9f flushed=%d hitlat=%s counters=%s",

@@ -373,13 +373,15 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 	if len(profiles) > 0 {
 		capBytes := uint64(2 * chip.Config().Mem.L2.SizeBytes)
 		line := uint64(chip.Config().Mem.L2.LineBytes)
-		var plan []uint64
+		l2 := chip.L2().Cache()
 		if shared != nil {
-			plan = shared.prewarmFor(opt.Workload.Name, profiles, bases, capBytes, line)
+			for _, addr := range shared.prewarmFor(opt.Workload.Name, profiles, bases, capBytes, line) {
+				l2.Fill(addr)
+			}
 		} else {
-			plan = prewarmPlan(profiles, bases, capBytes, line)
+			cursors, _ := prewarmCursors(profiles, bases, capBytes, line)
+			prewarmWalk(cursors, line, func(addr uint64) { l2.Fill(addr) })
 		}
-		applyPrewarm(chip, plan)
 	}
 	return chip, nil
 }
@@ -412,22 +414,21 @@ func replayCores(opt Options, nTraces int) int {
 	return (nTraces + tpc - 1) / tpc
 }
 
-// prewarmPlan computes the functional L2 prewarm fill sequence for each
-// thread's data footprint, interleaved across threads so each retains a
-// proportional share. The paper's 120M-cycle runs reach this steady
-// state on their own; our shorter windows would otherwise keep reporting
-// virgin-page cold misses that no real steady state contains. Footprints
-// much larger than the L2 are skipped: they churn the cache regardless,
-// so prewarming them would only distort LRU state.
-//
-// The plan depends only on immutable inputs (profiles, thread address
-// bases, L2 geometry), so a gang computes it once per distinct machine
-// shape and replays it into every member (applyPrewarm).
-func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint64) []uint64 {
-	type cursor struct {
-		next, end uint64
-	}
-	var cursors []cursor
+// prewarmCursor walks one thread's data footprint a line at a time.
+type prewarmCursor struct {
+	next, end uint64
+}
+
+// prewarmCursors sets up the functional L2 prewarm of each thread's data
+// footprint and returns the cursors with the total number of lines they
+// will fill. The paper's 120M-cycle runs reach this steady state on their
+// own; our shorter windows would otherwise keep reporting virgin-page
+// cold misses that no real steady state contains. Footprints much larger
+// than the L2 are skipped: they churn the cache regardless, so
+// prewarming them would only distort LRU state.
+func prewarmCursors(profiles []synth.Profile, bases [][]uint64, capBytes, line uint64) ([]prewarmCursor, int) {
+	var cursors []prewarmCursor
+	lines := 0
 	idx := 0
 	for c := range bases {
 		for t := range bases[c] {
@@ -438,10 +439,17 @@ func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint
 			}
 			// Matches the generator's data placement (base + 1GB).
 			dataBase := bases[c][t] + 1<<30
-			cursors = append(cursors, cursor{next: dataBase, end: dataBase + prof.FootprintBytes})
+			cursors = append(cursors, prewarmCursor{next: dataBase, end: dataBase + prof.FootprintBytes})
+			lines += int((prof.FootprintBytes + line - 1) / line)
 		}
 	}
-	var plan []uint64
+	return cursors, lines
+}
+
+// prewarmWalk advances the cursors round-robin, one line each per round,
+// handing every line address to fill: the footprints are interleaved
+// across threads so each retains a proportional share of the L2.
+func prewarmWalk(cursors []prewarmCursor, line uint64, fill func(addr uint64)) {
 	for {
 		progressed := false
 		for i := range cursors {
@@ -449,22 +457,26 @@ func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint
 			if cu.next >= cu.end {
 				continue
 			}
-			plan = append(plan, cu.next)
+			fill(cu.next)
 			cu.next += line
 			progressed = true
 		}
 		if !progressed {
-			return plan
+			return
 		}
 	}
 }
 
-// applyPrewarm replays a prewarm fill plan into one chip's L2.
-func applyPrewarm(chip *cmp.Chip, plan []uint64) {
-	l2 := chip.L2().Cache()
-	for _, addr := range plan {
-		l2.Fill(addr)
-	}
+// prewarmPlan records the prewarm fill sequence, sized exactly up front.
+// The plan depends only on immutable inputs (profiles, thread address
+// bases, L2 geometry), so a gang computes it once per distinct machine
+// shape and replays it into every member; a solo run streams the walk
+// straight into its L2 instead.
+func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint64) []uint64 {
+	cursors, lines := prewarmCursors(profiles, bases, capBytes, line)
+	plan := make([]uint64, 0, lines)
+	prewarmWalk(cursors, line, func(addr uint64) { plan = append(plan, addr) })
+	return plan
 }
 
 // collect folds the chip's accumulated measurements into a Result over a
