@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test shorttest racetest vet lint bench bench-throughput benchbaseline benchcmp docscheck metricscheck fuzzsmoke crashtest
+.PHONY: build test shorttest racetest vet lint perfbenchcheck bench bench-throughput benchbaseline benchcmp docscheck metricscheck fuzzsmoke crashtest
 
 # The hot-path benchmarks benchcmp tracks, and where their runs live.
 # The metrics pair guards the observability overhead: per-sample updates
@@ -54,6 +54,13 @@ vet:
 # analysis" for what each analyzer enforces.
 lint:
 	$(GO) run ./cmd/mflushvet ./...
+
+# The benchmark harness (perfbench/, run by `bash perfbench/run.sh`) is a
+# Go module of its own, so `go test ./...` at the root never reaches its
+# stats, span and host-speed tests. Mirrors the CI perfbench job.
+perfbenchcheck:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Documentation checks: markdown links in README/CAMPAIGNS/ARCHITECTURE/
 # API resolve, and every exported identifier in internal/server and
