@@ -105,18 +105,18 @@ type Core struct {
 
 	// Recycling pools and per-cycle scratch. All per-core (cores are
 	// ticked sequentially within a chip), so no locking is needed.
-	uopFree []*UOp
-	// deps is the dependent-node pool behind every uop's dependent list
-	// (UOp.deps); index 0 is the nil sentinel and free nodes are chained
-	// from depFree through their next links. It grows on demand and is
-	// never shrunk, so steady-state renames allocate nothing.
-	deps        []depNode
-	depFree     int32
+	uopFree     []*UOp
 	loadFree    []*policy.LoadInfo
 	reqPool     mem.RequestPool
 	fetchOrder  []int
 	renameBlock []bool
 	replayTmp   []isa.Inst
+	// deps is the dependent-node pool behind every uop's dependent list
+	// (UOp.deps); index 0 is the nil sentinel and free nodes are chained
+	// from depFree through their next links. It grows on demand and is
+	// never shrunk, so steady-state renames allocate nothing.
+	deps    []depNode
+	depFree int32
 }
 
 // depNode links one waiting consumer onto its producer's dependent list.
