@@ -1,13 +1,11 @@
 GO ?= go
 
-.PHONY: build test shorttest racetest vet lint perfbenchcheck bench bench-throughput benchbaseline benchcmp docscheck metricscheck fuzzsmoke crashtest
+.PHONY: build test shorttest racetest vet lint perfbenchcheck perfbenchsmoke bench bench-throughput docscheck metricscheck fuzzsmoke crashtest
 
-# The hot-path benchmarks benchcmp tracks, and where their runs live.
-# The metrics pair guards the observability overhead: per-sample updates
-# must stay allocation-free and a full /metrics scrape O(1)-alloc.
+# The hot-path micro-benchmarks bench-throughput runs. The metrics pair
+# guards the observability overhead: per-sample updates must stay
+# allocation-free and a full /metrics scrape O(1)-alloc.
 BENCH_PATTERN := BenchmarkSimulatorThroughput|BenchmarkGangCyclesPerSec|BenchmarkSingleCoreSim|BenchmarkMetricsUpdate|BenchmarkMetricsScrape
-BENCH_BASELINE := bench/baseline.txt
-BENCH_CURRENT := bench/current.txt
 
 build:
 	$(GO) build ./...
@@ -62,6 +60,22 @@ perfbenchcheck:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
+# Benchmark correctness smoke: run every perfbench workload for one
+# second, untraced, and fail unless its final line reports a correct run
+# with no failed operations. Timings from so short a run mean nothing;
+# performance claims use full 40 s runs (see perfbench/README.md).
+# Mirrors the blocking CI perfbench-smoke job.
+perfbenchsmoke:
+	@for w in sweep-solo sweep-gang fleet; do \
+		echo "== perfbench $$w"; \
+		last=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$last"; \
+		case "$$last" in \
+		*'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "perfbench $$w: not correct, or failed operations"; exit 1;; \
+		esac; \
+	done
+
 # Documentation checks: markdown links in README/CAMPAIGNS/ARCHITECTURE/
 # API resolve, and every exported identifier in internal/server and
 # internal/campaign has a doc comment (mirrors the CI docs job).
@@ -80,29 +94,7 @@ metricscheck:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Just the simulator speed benchmarks (the PERFORMANCE numbers in
-# README.md).
+# Just the simulator speed micro-benchmarks (20k-cycle jobs, so set-up
+# is over-weighted; perfbench is the benchmark performance claims use).
 bench-throughput:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 5x .
-
-# Re-record the committed hot-path baseline that benchcmp diffs against.
-# Run it when a PR intentionally moves simulator performance.
-benchbaseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 3x -count 6 . | tee $(BENCH_BASELINE)
-
-# Compare the current hot path against the committed baseline. A CI job
-# runs this as a non-blocking report, so the cycle-loop cost of any
-# refactor (like the Session layer) is visible on every PR. benchstat
-# renders a statistical comparison when installed; without it the two
-# raw runs are printed side by side (absolute numbers are machine-
-# dependent — compare deltas, not values, unless the baseline was
-# recorded on the same machine).
-benchcmp:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 3x -count 6 . | tee $(BENCH_CURRENT)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_BASELINE) $(BENCH_CURRENT); \
-	else \
-		echo "== benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest)"; \
-		echo "== raw baseline ($(BENCH_BASELINE)):"; cat $(BENCH_BASELINE); \
-		echo "== raw current ($(BENCH_CURRENT)):"; cat $(BENCH_CURRENT); \
-	fi

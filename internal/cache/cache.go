@@ -22,6 +22,12 @@ type Cache struct {
 	sets     int
 	lineBits uint
 	bankMask uint64
+	// bankBits shifts the bank index out of a line address; setMask
+	// replaces the set modulo when setPow2 (the L1s), so only geometries
+	// like the L2's 1365 sets pay a divide per access.
+	bankBits uint
+	setMask  uint64
+	setPow2  bool
 	// bankStride is sets*assoc: ways of (bank, set) start at
 	// bank*bankStride + set*assoc in the flat arrays below (one
 	// allocation each, better locality than per-bank slices).
@@ -52,6 +58,9 @@ func New(geom config.CacheGeom) *Cache {
 		sets:       sets,
 		lineBits:   lineBits,
 		bankMask:   uint64(geom.Banks - 1),
+		bankBits:   uint(bitsFor(geom.Banks)),
+		setMask:    uint64(sets - 1),
+		setPow2:    sets&(sets-1) == 0,
 		bankStride: sets * geom.Assoc,
 		tags:       make([]uint64, geom.Banks*sets*geom.Assoc),
 		stamp:      make([]uint64, geom.Banks*sets*geom.Assoc),
@@ -63,15 +72,27 @@ func New(geom config.CacheGeom) *Cache {
 func (c *Cache) Geometry() config.CacheGeom { return c.geom }
 
 // LineAddr converts a byte address to a line address.
+//
+//mflush:hotpath
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits }
 
 // BankOf returns the bank index serving the given byte address.
+//
+//mflush:hotpath
 func (c *Cache) BankOf(addr uint64) int {
 	return int(c.LineAddr(addr) & c.bankMask)
 }
 
+// setOf returns the set index of a line address within its bank:
+// (line >> log2(banks)) % sets.
+//
+//mflush:hotpath
 func (c *Cache) setOf(line uint64) int {
-	return int((line >> uint(bitsFor(c.geom.Banks))) % uint64(c.sets))
+	line >>= c.bankBits
+	if c.setPow2 {
+		return int(line & c.setMask)
+	}
+	return int(line % uint64(c.sets))
 }
 
 // bitsFor returns log2 of a power of two.
@@ -99,6 +120,8 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Access performs a lookup for addr, updating LRU state and hit/miss
 // counters. It returns true on hit.
+//
+//mflush:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	c.clock++
 	line := c.LineAddr(addr)
@@ -189,6 +212,8 @@ type MSHREntry struct {
 }
 
 // Slot returns the entry's stable index in [0, Capacity).
+//
+//mflush:hotpath
 func (e *MSHREntry) Slot() int { return e.slot }
 
 // NewMSHR returns an MSHR file with the given entry count.
@@ -216,6 +241,8 @@ func (m *MSHR) Lookup(line uint64) *MSHREntry {
 // Allocate records a miss for line. If an entry already exists the miss is
 // merged (secondary miss) and merged=true is returned. If the file is full
 // and no entry exists, ok=false is returned and the requester must stall.
+//
+//mflush:hotpath
 func (m *MSHR) Allocate(line uint64) (e *MSHREntry, merged, ok bool) {
 	free := -1
 	for i := range m.entries {
@@ -274,13 +301,18 @@ func (m *MSHR) Full() bool { return m.live >= len(m.entries) }
 func (m *MSHR) Capacity() int { return len(m.entries) }
 
 // TLB is a fully-associative translation buffer with LRU replacement over
-// page numbers.
+// page numbers. Resident pages live in parallel pages/stamp slices; slot
+// maps a page to its index, so a hit costs one map probe.
 type TLB struct {
 	capacity int
-	stamp    map[uint64]uint64
-	clock    uint64
-	hits     uint64
-	misses   uint64
+	slot     map[uint64]int32
+	pages    []uint64
+	// stamp[i] is the clock of pages[i]'s last access; stamps are
+	// unique, so the LRU victim is unambiguous.
+	stamp  []uint64
+	clock  uint64
+	hits   uint64
+	misses uint64
 }
 
 // NewTLB returns a TLB with the given entry count.
@@ -288,31 +320,43 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("cache: TLB capacity must be positive")
 	}
-	return &TLB{capacity: capacity, stamp: make(map[uint64]uint64, capacity)}
+	return &TLB{
+		capacity: capacity,
+		slot:     make(map[uint64]int32, capacity),
+		pages:    make([]uint64, 0, capacity),
+		stamp:    make([]uint64, 0, capacity),
+	}
 }
 
 // Access looks up a page number, inserting it on miss (hardware-walked
-// TLB). It returns true on hit.
+// TLB) and evicting the least recently used page when full. It returns
+// true on hit.
+//
+//mflush:hotpath
 func (t *TLB) Access(page uint64) bool {
 	t.clock++
-	if _, ok := t.stamp[page]; ok {
-		t.stamp[page] = t.clock
+	if i, ok := t.slot[page]; ok {
+		t.stamp[i] = t.clock
 		t.hits++
 		return true
 	}
 	t.misses++
-	if len(t.stamp) >= t.capacity {
-		var lruPage uint64
-		lru := ^uint64(0)
-		for p, s := range t.stamp {
-			if s < lru {
-				lru = s
-				lruPage = p
-			}
-		}
-		delete(t.stamp, lruPage)
+	if len(t.pages) < t.capacity {
+		t.slot[page] = int32(len(t.pages))
+		t.pages = append(t.pages, page)
+		t.stamp = append(t.stamp, t.clock)
+		return false
 	}
-	t.stamp[page] = t.clock
+	lru := 0
+	for i, s := range t.stamp {
+		if s < t.stamp[lru] {
+			lru = i
+		}
+	}
+	delete(t.slot, t.pages[lru])
+	t.slot[page] = int32(lru)
+	t.pages[lru] = page
+	t.stamp[lru] = t.clock
 	return false
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -269,6 +270,98 @@ func TestTLBCapacityBound(t *testing.T) {
 	}
 	if len(tlb.stamp) > 8 {
 		t.Fatalf("TLB holds %d entries, capacity 8", len(tlb.stamp))
+	}
+}
+
+// refTLB is the map-only TLB the slot-indexed one replaced, kept as the
+// reference model: every access stamps the page, and a miss at capacity
+// evicts the page with the smallest stamp.
+type refTLB struct {
+	capacity     int
+	stamp        map[uint64]uint64
+	clock        uint64
+	hits, misses uint64
+}
+
+func (t *refTLB) Access(page uint64) bool {
+	t.clock++
+	if _, ok := t.stamp[page]; ok {
+		t.stamp[page] = t.clock
+		t.hits++
+		return true
+	}
+	t.misses++
+	if len(t.stamp) >= t.capacity {
+		var lruPage uint64
+		lru := ^uint64(0)
+		for p, s := range t.stamp {
+			if s < lru {
+				lru = s
+				lruPage = p
+			}
+		}
+		delete(t.stamp, lruPage)
+	}
+	t.stamp[page] = t.clock
+	return false
+}
+
+// TestTLBMatchesReferenceModel replays seeded random page streams through
+// the TLB and the reference model, with working sets below, at and above
+// capacity, and requires the identical hit/miss sequence and Stats.
+func TestTLBMatchesReferenceModel(t *testing.T) {
+	for _, capacity := range []int{1, 8, 512} {
+		for _, ws := range []int{capacity / 2, capacity, 2 * capacity, 8*capacity + 3} {
+			if ws < 1 {
+				ws = 1
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				tlb := NewTLB(capacity)
+				ref := &refTLB{capacity: capacity, stamp: map[uint64]uint64{}}
+				r := rng.New(seed)
+				for i := 0; i < 20000; i++ {
+					// Mostly a hot subset, sometimes the whole working
+					// set, so both hit-heavy and eviction-heavy phases
+					// occur.
+					page := uint64(r.Intn(ws))
+					if r.Intn(4) == 0 {
+						page = uint64(r.Intn(ws/4 + 1))
+					}
+					page = page*7919 + 3 // spread the page numbers
+					if got, want := tlb.Access(page), ref.Access(page); got != want {
+						t.Fatalf("cap %d ws %d seed %d access %d page %d: hit=%v, reference %v",
+							capacity, ws, seed, i, page, got, want)
+					}
+				}
+				h, m := tlb.Stats()
+				if h != ref.hits || m != ref.misses {
+					t.Fatalf("cap %d ws %d seed %d: stats %d/%d, reference %d/%d",
+						capacity, ws, seed, h, m, ref.hits, ref.misses)
+				}
+			}
+		}
+	}
+}
+
+// TestSetOfMatchesReference checks the shift/mask set index against the
+// defining formula (line >> log2(banks)) % sets for the paper machine's
+// power-of-two L1s and its 1365-set L2.
+func TestSetOfMatchesReference(t *testing.T) {
+	mem := config.Default(1).Mem
+	for name, g := range map[string]config.CacheGeom{"L1I": mem.L1I, "L1D": mem.L1D, "L2": mem.L2} {
+		c := New(g)
+		sets := uint64(g.Sets())
+		shift := uint(bits.TrailingZeros(uint(g.Banks)))
+		r := rng.New(7)
+		lines := []uint64{0, 1, sets, sets << shift, ^uint64(0), ^uint64(0) >> 1}
+		for i := 0; i < 100000; i++ {
+			lines = append(lines, r.Uint64()>>uint(r.Intn(64)))
+		}
+		for _, line := range lines {
+			if got, want := c.setOf(line), int((line>>shift)%sets); got != want {
+				t.Fatalf("%s (%d sets): setOf(%#x) = %d, want %d", name, sets, line, got, want)
+			}
+		}
 	}
 }
 

@@ -175,6 +175,10 @@ func (c *Config) MaxL2Latency() int {
 	return c.Mem.L1MissLatency + c.Mem.MainMemoryLatency
 }
 
+// MaxThreadsPerCore bounds the SMT degree: the core's rename stage
+// tracks its blocked threads in one 64-bit mask.
+const MaxThreadsPerCore = 64
+
 // TotalThreads is the number of hardware contexts on the chip.
 func (c *Config) TotalThreads() int { return c.Cores * c.Core.ThreadsPerCore }
 
@@ -186,6 +190,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: need at least 1 core, have %d", c.Cores)
 	case c.Core.ThreadsPerCore < 1:
 		return fmt.Errorf("config: need at least 1 thread per core, have %d", c.Core.ThreadsPerCore)
+	case c.Core.ThreadsPerCore > MaxThreadsPerCore:
+		return fmt.Errorf("config: at most %d threads per core, have %d", MaxThreadsPerCore, c.Core.ThreadsPerCore)
 	case c.Core.FetchWidth < 1 || c.Core.FetchThreads < 1:
 		return fmt.Errorf("config: fetch width/threads must be positive")
 	case c.Core.IntQueue < 1 || c.Core.FPQueue < 1 || c.Core.LSQueue < 1:

@@ -118,6 +118,24 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateThreadsPerCoreBound: the SMT degree is capped at
+// MaxThreadsPerCore (the rename stage's blocked-thread mask), with enough
+// physical registers that the cap, not the register check, decides.
+func TestValidateThreadsPerCoreBound(t *testing.T) {
+	for _, tc := range []struct {
+		threads int
+		ok      bool
+	}{{MaxThreadsPerCore, true}, {MaxThreadsPerCore + 1, false}} {
+		c := Default(1)
+		c.Core.ThreadsPerCore = tc.threads
+		c.Core.PhysRegs = tc.threads*64 + 64
+		err := c.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%d threads per core: Validate() = %v, want ok=%v", tc.threads, err, tc.ok)
+		}
+	}
+}
+
 func TestCacheGeomSets(t *testing.T) {
 	g := CacheGeom{SizeBytes: 4 << 20, LineBytes: 64, Assoc: 12, Banks: 4}
 	// 4MB / (64B * 12 ways * 4 banks) = 1365.33 -> must divide evenly in

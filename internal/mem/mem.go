@@ -166,6 +166,8 @@ func NewL2System(cfg config.Config) *L2System {
 
 // BankOf returns the L2 bank that will serve the given address. The
 // MFLUSH policy uses this to select the MCReg before the access completes.
+//
+//mflush:hotpath
 func (s *L2System) BankOf(addr uint64) int { return s.l2.BankOf(addr) }
 
 // Submit enters a request into the shared system at cycle now.

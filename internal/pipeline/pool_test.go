@@ -1,12 +1,15 @@
 package pipeline
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestUOpPoolGeneration checks the recycling invariants the whole
 // rename/wakeup machinery rests on: a freed uop's generation bump kills
 // stale references, and reuse hands back a fully reset uop.
 func TestUOpPoolGeneration(t *testing.T) {
-	c := &Core{threads: []*thread{{}}}
+	c := &Core{threads: []thread{{}}}
 
 	u := c.allocUOp()
 	u.Tid = 0
@@ -44,8 +47,38 @@ func TestUOpPoolGeneration(t *testing.T) {
 	}
 }
 
+// TestUOpLayout guards the two-cache-line budget: uops are carved from
+// slabs, and a field that pushes UOp past 128 bytes makes every uop
+// straddle a third line.
+func TestUOpLayout(t *testing.T) {
+	if size := unsafe.Sizeof(UOp{}); size > 128 {
+		t.Fatalf("UOp is %d bytes, budget is 128", size)
+	}
+}
+
+// TestUOpSlabAllocation: an empty free list is refilled a slab at a
+// time, every uop of the slab distinct and all but the first pooled.
+func TestUOpSlabAllocation(t *testing.T) {
+	c := &Core{threads: []thread{{}}}
+	seen := map[*UOp]bool{}
+	for i := 0; i < uopSlab; i++ {
+		u := c.allocUOp()
+		if u.pooled || seen[u] {
+			t.Fatalf("allocation %d returned a pooled or duplicate uop", i)
+		}
+		seen[u] = true
+		if want := uopSlab - 1 - i; len(c.uopFree) != want {
+			t.Fatalf("after %d allocations the free list holds %d, want %d", i+1, len(c.uopFree), want)
+		}
+	}
+	c.allocUOp()
+	if len(c.uopFree) != uopSlab-1 {
+		t.Fatalf("second slab left %d pooled, want %d", len(c.uopFree), uopSlab-1)
+	}
+}
+
 func TestUOpDoubleFreePanics(t *testing.T) {
-	c := &Core{threads: []*thread{{}}}
+	c := &Core{threads: []thread{{}}}
 	u := c.allocUOp()
 	c.freeUOp(u)
 	defer func() {

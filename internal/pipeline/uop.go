@@ -14,25 +14,32 @@ import (
 // per-core free list: Gen is bumped every time a uop is released, so a
 // uopRef captured while it was live can detect that it now names a
 // different (or pooled) instruction.
+//
+// The layout is part of the hot path: uops are carved from 64-entry slabs
+// (see Core.allocUOp) and must stay within 128 bytes — two cache lines —
+// which TestUOpLayout enforces. Fields are ordered 8-byte, then 4-byte,
+// then bools, so the struct carries no padding; a new field goes into
+// its size group, and one that does not fit means another must go.
 type UOp struct {
 	Inst isa.Inst
-	// Tid is the core-local hardware context.
-	Tid int
 	// Seq is the per-thread fetch order; squashes are "younger than".
 	Seq uint64
-	// Gen is the recycling generation; see uopRef.
-	Gen uint32
-	// WrongPath marks instructions fetched past an unresolved
-	// mispredicted branch: they execute but never commit.
-	WrongPath bool
-
-	// FetchedAt stamps fetch; RenameReadyAt is when the front-end pipe
-	// delivers the instruction to rename.
-	FetchedAt     uint64
-	RenameReadyAt uint64
-
+	// FetchedAt stamps fetch; the front-end pipe delivers the
+	// instruction to rename FrontEndStages cycles later.
+	FetchedAt uint64
 	// PrevProd restores the rename table if this uop is squashed.
 	PrevProd uopRef
+	// RetryAt delays a memory uop's next issue attempt (TLB walk, full
+	// MSHR file).
+	RetryAt uint64
+	// Load is the policy-visible descriptor, present only for
+	// correct-path loads that missed the L1 data cache.
+	Load *policy.LoadInfo
+
+	// Tid is the core-local hardware context.
+	Tid int32
+	// Gen is the recycling generation; see uopRef.
+	Gen uint32
 	// pending counts the distinct source producers that had not executed
 	// at rename and have not executed since; the uop is operand-ready
 	// (its queue's ready bit is set) exactly when it is zero.
@@ -40,7 +47,14 @@ type UOp struct {
 	// deps heads this uop's dependent list in the core's dependent-node
 	// pool (0: none); markExecuted walks it to wake the consumers.
 	deps int32
+	// qIdx is the uop's slot in its issue queue while InQueue.
+	qIdx int32
+	// RASTop and RASDepth are the RAS repair snapshot (control uops).
+	RASTop, RASDepth int32
 
+	// WrongPath marks instructions fetched past an unresolved
+	// mispredicted branch: they execute but never commit.
+	WrongPath bool
 	// Resource ownership flags (see core.go squash/commit for the
 	// conservation rules).
 	HasPReg bool
@@ -50,30 +64,17 @@ type UOp struct {
 	// squash time.
 	InWheel bool
 	// pooled marks membership in the free list (double-free guard).
-	pooled bool
-	// qIdx is the uop's slot in its issue queue while InQueue.
-	qIdx int32
-
+	pooled   bool
 	Issued   bool
-	IssuedAt uint64
 	Executed bool
-	DoneAt   uint64
-
-	Squashed  bool
-	Committed bool
-
-	// Control-flow state.
-	MispredictedBranch bool // resolution must squash and redirect
-	RASTop, RASDepth   int  // RAS repair snapshot (control uops)
-
+	Squashed bool
+	// MispredictedBranch marks a control uop whose resolution must
+	// squash and redirect.
+	MispredictedBranch bool
 	// Memory state.
 	TLBDone    bool
 	TLBMissed  bool
-	RetryAt    uint64
 	WaitingMem bool
-	// Load is the policy-visible descriptor, present only for
-	// correct-path loads that missed the L1 data cache.
-	Load *policy.LoadInfo
 }
 
 // uopRef is a generation-validated reference to a producer uop. The
@@ -141,11 +142,11 @@ type ring struct {
 	size int
 }
 
-func newRing(capacity int) *ring {
+func newRing(capacity int) ring {
 	if capacity <= 0 {
 		panic("pipeline: ring capacity must be positive")
 	}
-	return &ring{buf: make([]*UOp, capacity)}
+	return ring{buf: make([]*UOp, capacity)}
 }
 
 func (r *ring) len() int   { return r.size }
@@ -227,8 +228,8 @@ type queue struct {
 // newQueue sizes the slot array for its largest uncompacted length
 // (insert compacts once it reaches twice the capacity), so the queue
 // never reallocates.
-func newQueue(capacity int) *queue {
-	return &queue{
+func newQueue(capacity int) queue {
+	return queue{
 		slots: make([]*UOp, 0, 2*capacity),
 		ready: make([]uint64, (2*capacity+63)/64),
 		cap:   capacity,

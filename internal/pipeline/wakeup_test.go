@@ -10,10 +10,10 @@ import (
 // on thread 0, bypassing the front end, and returns the renamed uop.
 func renameInst(t *testing.T, c *Core, in isa.Inst) *UOp {
 	t.Helper()
-	th := c.threads[0]
+	th := &c.threads[0]
 	u := c.allocUOp()
 	u.Inst = in
-	u.Tid = th.id
+	u.Tid = int32(th.id)
 	th.seq++
 	u.Seq = th.seq
 	th.icount++
@@ -69,7 +69,7 @@ func TestLoadDependentIssuesInWakeupCycle(t *testing.T) {
 	})
 	h := newHarness(t, 1, nil, src)
 	c := h.core
-	th := c.threads[0]
+	th := &c.threads[0]
 	var load, dep *UOp
 	for ; h.now < 20000; h.now++ {
 		if load == nil && th.rob.len() >= 2 {
@@ -79,19 +79,24 @@ func TestLoadDependentIssuesInWakeupCycle(t *testing.T) {
 			}
 		}
 		waiting := load != nil && load.WaitingMem
+		if waiting && load.Executed {
+			t.Fatal("load executed while still waiting on memory")
+		}
 		for _, r := range h.l2.Tick(h.now) {
 			c.HandleResponse(r, h.now)
 		}
+		// The load had not executed before this cycle's responses, so
+		// Executed now means the response completed it in this cycle.
 		if waiting && load.Executed {
-			if load.DoneAt != h.now {
-				t.Fatalf("load completed at %d, response cycle %d", load.DoneAt, h.now)
-			}
 			if dep.pending != 0 || !c.intQ.readyBit(dep) {
 				t.Fatalf("dependent not woken by the response: pending=%d", dep.pending)
 			}
+			if dep.Issued {
+				t.Fatal("dependent issued before the cycle's issue stage ran")
+			}
 			c.Tick(h.now)
-			if !dep.Issued || dep.IssuedAt != h.now {
-				t.Fatalf("dependent issued=%v at %d, want cycle %d", dep.Issued, dep.IssuedAt, h.now)
+			if !dep.Issued {
+				t.Fatalf("dependent not issued in wakeup cycle %d", h.now)
 			}
 			checkInvariants(t, c)
 			return
@@ -108,7 +113,7 @@ func TestLoadDependentIssuesInWakeupCycle(t *testing.T) {
 func TestRecycledDependentIgnoresStaleWakeup(t *testing.T) {
 	h := newHarness(t, 1, nil, funcSource(func(*isa.Inst) {}))
 	c := h.core
-	th := c.threads[0]
+	th := &c.threads[0]
 
 	p := renameInst(t, c, aluInst(5, isa.InvalidReg, isa.InvalidReg))
 	q := renameInst(t, c, aluInst(7, isa.InvalidReg, isa.InvalidReg))

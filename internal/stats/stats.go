@@ -223,9 +223,12 @@ type Set struct {
 
 // Bump adds delta to the registered counter. This is the hot-path
 // increment: one bounds check and one add once the array is grown.
+//
+//mflush:hotpath
 func (s *Set) Bump(id CounterID, delta uint64) {
 	if int(id) >= len(s.dense) {
-		s.growDense()
+		//mflush:cold
+		s.growDense() // once per Set, not per cycle
 	}
 	s.dense[id] += delta
 }
