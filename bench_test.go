@@ -218,7 +218,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // sweep (the four paper policies over one workload and seed) run as one
 // lockstep GangSession. Compare against BenchmarkSimulatorThroughput
 // × width for the solo aggregate: gang gains come from shared
-// instruction synthesis and prewarm planning on any machine, plus
+// instruction synthesis on any machine, plus
 // member-parallel stepping when GOMAXPROCS allows.
 func BenchmarkGangCyclesPerSec(b *testing.B) {
 	w, _ := workload.ByName("8W3")

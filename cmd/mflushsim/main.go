@@ -54,6 +54,25 @@ func writeSampleCSV(w io.Writer, p sim.SamplePoint) {
 		p.FlushedInsts, p.WastedEnergy, p.L2Hits, p.L2Misses, mcregMin, mcregMax)
 }
 
+// loadTraces reads a comma-separated list of trace files, each in any
+// encoding trace.LoadScenario sniffs, and returns every file's threads
+// in list order.
+func loadTraces(list string) ([][]isa.Inst, error) {
+	var threads [][]isa.Inst
+	for _, path := range strings.Split(list, ",") {
+		scen, err := trace.LoadScenario(strings.TrimSpace(path))
+		if err != nil {
+			return nil, err
+		}
+		tt, err := scen.ThreadTraces()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		threads = append(threads, tt...)
+	}
+	return threads, nil
+}
+
 func main() {
 	wl := flag.String("workload", "2W3", "workload name (xWy from the paper, or 8W-bzip2-twolf)")
 	pol := flag.String("policy", "MFLUSH", "IFetch policy")
@@ -63,7 +82,7 @@ func main() {
 	cores := flag.Int("cores", 0, "core count override (0: derive from workload)")
 	verbose := flag.Bool("v", false, "print all event counters")
 	asJSON := flag.Bool("json", false, "emit the result as JSON")
-	traces := flag.String("traces", "", "comma-separated trace files (from tracegen) to replay instead of -workload")
+	traces := flag.String("traces", "", "comma-separated trace files (from mflushtrace: MFSCEN1, JSONL or MFTRACE1) to replay instead of -workload")
 	name := flag.String("name", "", "workload name to report (replayed traces otherwise report replay-N)")
 	interval := flag.Uint64("interval", 0, "emit a time-series sample every N measured cycles (0: off)")
 	out := flag.String("out", "", "time-series destination file (default: stdout, replacing the summary)")
@@ -72,19 +91,10 @@ func main() {
 	var w workload.Workload
 	var threadTraces [][]isa.Inst
 	if *traces != "" {
-		for _, path := range strings.Split(*traces, ",") {
-			f, err := os.Open(strings.TrimSpace(path))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
-				os.Exit(1)
-			}
-			insts, err := trace.ReadAll(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mflushsim: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			threadTraces = append(threadTraces, insts)
+		var err error
+		if threadTraces, err = loadTraces(*traces); err != nil {
+			fmt.Fprintf(os.Stderr, "mflushsim: %v\n", err)
+			os.Exit(1)
 		}
 	} else {
 		var ok bool

@@ -12,7 +12,9 @@
 //	mflushtrace -mode mix -bench mcf,gzip -o pair.trace
 //	mflushtrace -list
 //
-// cmd/tracegen is an alias for the bench mode with legacy defaults.
+// Output is the binary MFSCEN1 scenario format unless -format selects
+// jsonl or, in bench mode, the legacy single-thread mftrace (MFTRACE1).
+// mflushsim -traces replays all three.
 package main
 
 import (

@@ -21,9 +21,7 @@ import (
 // Record is byte-for-byte the record a fresh run would produce — cache
 // hits are indistinguishable from recomputation, forever.
 type Cache struct {
-	runner func(sim.Options) (*sim.Result, error)
-	// jobRun, when non-nil (NewJobCache), replaces runner with a
-	// job-level executor that sees the whole Job and the leader's
+	// jobRun executes a miss. It sees the whole Job and the leader's
 	// context — the hook the cluster router uses to send misses to
 	// remote workers instead of the local simulator.
 	jobRun func(context.Context, Job) (Record, error)
@@ -47,20 +45,12 @@ type flight struct {
 }
 
 // NewCache returns a cache backed by store (nil: in-memory only, results
-// live for the process lifetime) executing misses with runner (nil:
-// sim.Run). Completed records are appended to the store as they finish,
-// so the cache survives restarts with the same crash-consistency
-// guarantees as campaign resume.
+// live for the process lifetime) executing misses through an Executor
+// with runner (nil: sim.Run). Completed records are appended to the
+// store as they finish, so the cache survives restarts with the same
+// crash-consistency guarantees as campaign resume.
 func NewCache(store *Store, runner func(sim.Options) (*sim.Result, error)) *Cache {
-	if runner == nil {
-		runner = sim.Run
-	}
-	return &Cache{
-		runner:   runner,
-		store:    store,
-		done:     make(map[string]Record),
-		inflight: make(map[string]*flight),
-	}
+	return NewJobCache(store, Executor{Runner: runner}.Run)
 }
 
 // NewJobCache returns a cache like NewCache's, but executing misses
@@ -70,9 +60,8 @@ func NewCache(store *Store, runner func(sim.Options) (*sim.Result, error)) *Cach
 // cancellation while the job is still queued) instead of simulating in
 // process. Single-flight, store persistence and hit accounting are
 // identical to NewCache. The runner must return a Record a local run
-// would have produced byte-for-byte (NewRecord over a deterministic
-// simulation does); the cache stamps the job's key on it before
-// persisting.
+// would have produced byte-for-byte (an Executor does); the cache
+// stamps the job's key on it before persisting.
 func NewJobCache(store *Store, run func(context.Context, Job) (Record, error)) *Cache {
 	return &Cache{
 		jobRun:   run,
@@ -182,43 +171,21 @@ func (c *Cache) lookup(key string) (Record, bool) {
 	return rec, ok
 }
 
-// compute executes the miss — through the job-level runner when one is
-// set (cluster routing), the plain simulator runner otherwise — and
-// persists the record. ctx reaches only the job-level runner: local
-// simulations are not interruptible, so the plain path always finishes.
+// compute executes the miss through the job-level runner and persists
+// the record. ctx reaches only the runner: local simulations are not
+// interruptible, so they always finish.
 func (c *Cache) compute(ctx context.Context, j Job, key string) (Record, error) {
-	var rec Record
-	if c.jobRun != nil {
-		r, err := c.jobRun(ctx, j)
-		if err != nil {
-			return Record{}, err
-		}
-		rec = r
-		rec.Key = key // the store must index by this job's key, whatever the runner set
-	} else {
-		res, err := runJob(c.runner, j)
-		if err != nil {
-			return Record{}, err
-		}
-		rec = NewRecord(j, res)
+	rec, err := c.jobRun(ctx, j)
+	if err != nil {
+		return Record{}, err
 	}
+	rec.Key = key // the store must index by this job's key, whatever the runner set
 	if c.store != nil {
 		if err := c.store.Append(rec); err != nil {
 			return Record{}, err
 		}
 	}
 	return rec, nil
-}
-
-// NewRecord builds the store record for a completed job. Every path
-// that turns a simulation into a record — the local scheduler, the
-// cache, remote cluster workers — goes through this one constructor, so
-// a record is byte-for-byte identical no matter where the job ran.
-func NewRecord(j Job, res *sim.Result) Record {
-	return Record{
-		Key: j.Key(), Workload: res.Workload, Policy: res.Policy,
-		Tweak: j.Tweak.Label(), Seed: j.Seed, Summary: res.Summary(),
-	}
 }
 
 // relabel refreshes the display-only tweak label: job keys hash tweak

@@ -337,64 +337,30 @@ func (j Job) workloadID() string {
 	return j.Workload.Name
 }
 
-// Options builds the sim.Options that execute a synthetic-workload job.
-// It cannot load trace files (no error path), so it panics on trace
-// jobs; execution paths go through SimOptions, which handles both.
-func (j Job) Options() sim.Options {
-	if j.Trace != nil {
-		panic("campaign: Options on a trace job; use SimOptions")
-	}
-	o := sim.Options{
-		Workload: j.Workload, Policy: j.Policy, Seed: j.Seed,
-		Cycles: j.Cycles, Warmup: j.Warmup, Interval: j.Interval,
-	}
-	if !j.Tweak.IsZero() {
-		tw := j.Tweak
-		o.Tweak = tw.apply
-	}
-	return o
-}
-
 // SimOptions builds the sim.Options that execute the job. For trace
 // jobs this loads the referenced scenario file (memoised per digest),
 // verifying its content digest first — a worker whose copy of the file
 // drifted from the coordinator's fails here instead of simulating the
 // wrong scenario under the right key.
 func (j Job) SimOptions() (sim.Options, error) {
-	if j.Trace == nil {
-		return j.Options(), nil
-	}
-	if err := j.Trace.validate(); err != nil {
-		return sim.Options{}, err
-	}
-	threads, err := j.Trace.load()
-	if err != nil {
-		return sim.Options{}, err
-	}
 	o := sim.Options{
-		Name: j.Trace.Name, ThreadTraces: threads,
-		Policy: j.Policy, Seed: j.Seed,
+		Workload: j.Workload, Policy: j.Policy, Seed: j.Seed,
 		Cycles: j.Cycles, Warmup: j.Warmup, Interval: j.Interval,
 	}
 	if !j.Tweak.IsZero() {
-		tw := j.Tweak
-		o.Tweak = tw.apply
+		o.Tweak = j.Tweak.apply
+	}
+	if j.Trace != nil {
+		if err := j.Trace.validate(); err != nil {
+			return sim.Options{}, err
+		}
+		threads, err := j.Trace.load()
+		if err != nil {
+			return sim.Options{}, err
+		}
+		o.Name, o.ThreadTraces = j.Trace.Name, threads
 	}
 	return o, nil
-}
-
-// StreamSamples wires o (built from this job) to republish its live
-// interval sample points keyed by the job's content hash — the one
-// hook behind mflushd's sample SSE events, shared by the daemon's
-// local runner and the cluster router's local fallback so the two
-// execution modes cannot diverge in what they stream. A no-op for
-// unsampled jobs or a nil publish.
-func (j Job) StreamSamples(o *sim.Options, publish func(key string, p sim.SamplePoint)) {
-	if o.Interval == 0 || publish == nil {
-		return
-	}
-	key := j.Key()
-	o.OnSample = func(p sim.SamplePoint) { publish(key, p) }
 }
 
 // String names the job for progress lines and errors.

@@ -139,7 +139,10 @@ func TestTweakApplyAndLabel(t *testing.T) {
 		MainMemoryLatency: 400, RegReservePerThread: 48}
 	cfg := config.Default(1)
 	j := Job{Tweak: tw, Cycles: 10}
-	opt := j.Options()
+	opt, err := j.SimOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if opt.Tweak == nil {
 		t.Fatal("non-zero tweak produced no Options.Tweak")
 	}
@@ -161,7 +164,7 @@ func TestTweakApplyAndLabel(t *testing.T) {
 	if lbl := (Tweak{BusDelay: 4}).Label(); !strings.Contains(lbl, "bus=4") {
 		t.Fatalf("anonymous tweak label = %q", lbl)
 	}
-	if (Job{Policy: sim.SpecICOUNT, Cycles: 10}).Options().Tweak != nil {
+	if o, _ := (Job{Policy: sim.SpecICOUNT, Cycles: 10}).SimOptions(); o.Tweak != nil {
 		t.Fatal("zero tweak should leave Options.Tweak nil")
 	}
 }

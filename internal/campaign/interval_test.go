@@ -85,7 +85,7 @@ func TestSpecIntervalExpansion(t *testing.T) {
 		if j.Interval != 200 {
 			t.Errorf("%s: interval %d, want 200", j, j.Interval)
 		}
-		if j.Options().Interval != 200 {
+		if o, _ := j.SimOptions(); o.Interval != 200 {
 			t.Errorf("%s: options dropped the interval", j)
 		}
 	}
@@ -108,7 +108,11 @@ func TestReadSpecInterval(t *testing.T) {
 // samples persist in stores and travel back from cluster workers.
 func TestRecordCarriesIntervalSamples(t *testing.T) {
 	j := intervalTestJob(t, 250)
-	res, err := sim.Run(j.Options())
+	o, err := j.SimOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,9 @@ type Progress struct {
 	Err error
 }
 
-// Scheduler executes campaign jobs on a bounded worker pool. The zero
-// value runs sim.Run on GOMAXPROCS workers with no progress reporting.
+// Scheduler executes campaign jobs on a bounded worker pool through an
+// Executor. The zero value runs sim.Run on GOMAXPROCS workers with no
+// progress reporting.
 type Scheduler struct {
 	// Workers bounds parallelism; <= 0 means GOMAXPROCS. Results are
 	// ordered by job index regardless of completion order, and the
@@ -76,15 +77,17 @@ func NewShared(workers int) *Scheduler {
 // everything and persists nothing. Cancelling ctx stops scheduling new
 // jobs (in-flight simulations finish) and Run returns ctx.Err() unless
 // a simulation failed first.
+//
+// The pool's unit of work is one GangGroups group of the pending jobs,
+// executed by one Executor call: a singleton through Runner, a wider
+// group as one lockstep gang through GangRunner. Below GangWidth 2
+// every group is a singleton.
 func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record, error) {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	runner := s.Runner
-	if runner == nil {
-		runner = sim.Run
-	}
+	exec := Executor{Runner: s.Runner, GangRunner: s.GangRunner}
 
 	records := make([]Record, len(jobs))
 	report := newReporter(len(jobs), func(p Progress) {
@@ -98,79 +101,19 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, store *Store) ([]Record
 	// may carry a stale label from before a spec rename; re-label it
 	// from the current job so aggregation cells stay whole.
 	var pending []int
+	var pendingJobs []Job
 	for i, j := range jobs {
 		if store != nil {
 			if rec, ok := store.Get(j.Key()); ok {
-				rec.Tweak = j.Tweak.Label()
-				records[i] = rec
+				records[i] = relabel(rec, j)
 				report(Progress{Job: j, Cached: true})
 				continue
 			}
 		}
 		pending = append(pending, i)
+		pendingJobs = append(pendingJobs, j)
 	}
 
-	// complete books job i's finished simulation: record, store, report.
-	complete := func(i int, res *sim.Result) error {
-		j := jobs[i]
-		rec := NewRecord(j, res)
-		if store != nil {
-			if err := store.Append(rec); err != nil {
-				report(Progress{Job: j, Err: err})
-				return err
-			}
-		}
-		records[i] = rec
-		report(Progress{Job: j})
-		return nil
-	}
-
-	if s.GangWidth >= 2 {
-		return records, s.runGanged(ctx, jobs, pending, workers, runner, complete, report)
-	}
-
-	errs := runPool(ctx, workers, s.slots, len(jobs), pending, func(i int) error {
-		j := jobs[i]
-		res, err := runJob(runner, j)
-		if err != nil {
-			report(Progress{Job: j, Err: err})
-			return err
-		}
-		return complete(i, res)
-	})
-	return records, firstError(jobs, errs)
-}
-
-// runJob resolves the job's executable options — which loads and
-// digest-verifies the scenario file for trace jobs — and runs it.
-// Every solo execution path goes through here so a trace job's load
-// failure surfaces as that job's error, exactly like a sim failure.
-func runJob(runner func(sim.Options) (*sim.Result, error), j Job) (*sim.Result, error) {
-	o, err := j.SimOptions()
-	if err != nil {
-		return nil, err
-	}
-	return runner(o)
-}
-
-// runGanged executes the pending jobs as lockstep gang batches: the
-// GangWidth >= 2 arm of Run. The pool's unit of work becomes one gang
-// group instead of one job; group results are booked member by member
-// through the same completion path as solo runs, so records and stores
-// cannot differ between the modes. Width-1 groups (jobs with no
-// compatible sibling in this campaign) run through the solo Runner.
-func (s *Scheduler) runGanged(ctx context.Context, jobs []Job, pending []int,
-	workers int, runner func(sim.Options) (*sim.Result, error),
-	complete func(int, *sim.Result) error, report func(Progress)) error {
-
-	gangRun := s.GangRunner
-	if gangRun == nil {
-		gangRun = sim.RunGang
-	}
-	pendingJobs := make([]Job, len(pending))
-	for k, i := range pending {
-		pendingJobs[k] = jobs[i]
-	}
 	groups := GangGroups(pendingJobs, s.GangWidth)
 	groupIdx := make([]int, len(groups))
 	for g := range groupIdx {
@@ -181,52 +124,24 @@ func (s *Scheduler) runGanged(ctx context.Context, jobs []Job, pending []int,
 	// lock.
 	jobErrs := make([]error, len(jobs))
 	gerrs := runPool(ctx, workers, s.slots, len(groups), groupIdx, func(g int) error {
-		members := groups[g]
-		if len(members) == 1 {
-			i := pending[members[0]]
-			j := jobs[i]
-			res, err := runJob(runner, j)
-			if err != nil {
-				jobErrs[i] = err
-				report(Progress{Job: j, Err: err})
-				return err
-			}
-			jobErrs[i] = complete(i, res)
-			return jobErrs[i]
-		}
-		opts := make([]sim.Options, len(members))
-		for k, pi := range members {
-			o, err := jobs[pending[pi]].SimOptions()
-			if err != nil {
-				// Members share one GangKey, hence one trace file: a
-				// load failure fails the batch together, like a
-				// lockstep failure below.
-				for _, pj := range members {
-					i := pending[pj]
-					jobErrs[i] = err
-					report(Progress{Job: jobs[i], Err: err})
-				}
-				return err
-			}
-			opts[k] = o
-		}
-		results, err := gangRun(opts)
-		if err != nil {
-			// The lockstep failed before producing any member's result:
-			// the whole batch fails together.
-			for _, pi := range members {
-				i := pending[pi]
-				jobErrs[i] = err
-				report(Progress{Job: jobs[i], Err: err})
-			}
-			return err
+		batch := make([]Job, len(groups[g]))
+		for k, pi := range groups[g] {
+			batch[k] = pendingJobs[pi]
 		}
 		var firstErr error
-		for k, pi := range members {
-			i := pending[pi]
-			if jobErrs[i] = complete(i, results[k]); jobErrs[i] != nil && firstErr == nil {
-				firstErr = jobErrs[i]
+		for k, o := range exec.Execute(batch) {
+			i := pending[groups[g][k]]
+			err := o.Err
+			if err == nil && store != nil {
+				err = store.Append(o.Record)
 			}
+			if err == nil {
+				records[i] = o.Record
+			} else if firstErr == nil {
+				firstErr = err
+			}
+			jobErrs[i] = err
+			report(Progress{Job: jobs[i], Err: err})
 		}
 		return firstErr
 	})
@@ -243,7 +158,7 @@ func (s *Scheduler) runGanged(ctx context.Context, jobs []Job, pending []int,
 			}
 		}
 	}
-	return firstError(jobs, jobErrs)
+	return records, firstError(jobs, jobErrs)
 }
 
 // RunCached executes jobs through cache, returning one record per job in

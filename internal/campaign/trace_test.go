@@ -251,12 +251,4 @@ func TestTraceSimOptions(t *testing.T) {
 	if _, err := bad.SimOptions(); err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("drifted trace load error = %v, want digest mismatch", err)
 	}
-
-	// Options is the synthetic-only path and must refuse loudly.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Options on a trace job did not panic")
-		}
-	}()
-	j.Options()
 }

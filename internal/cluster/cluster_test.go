@@ -29,7 +29,11 @@ func testJobs(t *testing.T, seeds ...uint64) []campaign.Job {
 // testRecord fabricates the record a worker would post for j.
 func testRecord(t *testing.T, j campaign.Job) campaign.Record {
 	t.Helper()
-	res, err := simtest.New().Run(j.Options())
+	o, err := j.SimOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := simtest.New().Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,6 @@ func NewRouter(coord *Coordinator, workers int, runner func(sim.Options) (*sim.R
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if runner == nil {
-		runner = sim.Run
-	}
 	return &Router{coord: coord, local: runner, slots: make(chan struct{}, workers)}
 }
 
@@ -69,14 +66,5 @@ func (r *Router) Run(ctx context.Context, j campaign.Job) (campaign.Record, erro
 		return campaign.Record{}, ctx.Err()
 	}
 	defer func() { <-r.slots }()
-	o, err := j.SimOptions()
-	if err != nil {
-		return campaign.Record{}, err
-	}
-	j.StreamSamples(&o, r.OnSample)
-	res, err := r.local(o)
-	if err != nil {
-		return campaign.Record{}, err
-	}
-	return campaign.NewRecord(j, res), nil
+	return campaign.Executor{Runner: r.local, OnSample: r.OnSample}.Run(ctx, j)
 }

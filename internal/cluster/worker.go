@@ -139,10 +139,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if name == "" {
 		name = "worker"
 	}
-	runner := w.Runner
-	if runner == nil {
-		runner = sim.Run
-	}
 	leaseWait := w.LeaseWait
 	if leaseWait <= 0 {
 		leaseWait = 2 * time.Second
@@ -232,119 +228,61 @@ func (w *Worker) Run(ctx context.Context) error {
 		_ = w.call(postCtx, "DELETE", "/v1/workers/"+id, nil, nil)
 		reregister(postCtx)
 	}
-	gangRunner := w.GangRunner
-	if gangRunner == nil {
-		gangRunner = sim.RunGang
-	}
-	start := func(wire campaign.WireJob) {
-		inflight++
-		w.m.inflight.Set(float64(inflight))
-		go func() {
-			j, err := wire.Job()
-			if err == nil && j.Key() != wire.Key {
-				err = fmt.Errorf("cluster: job key mismatch (worker and coordinator builds differ?): computed %s, leased %s", j.Key(), wire.Key)
-			}
-			if err != nil {
-				results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				return
-			}
-			o, err := j.SimOptions()
-			if err != nil {
-				// A trace job whose file is missing or drifted on this
-				// worker's filesystem fails here, before simulating.
-				results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				return
-			}
-			began := time.Now()
-			res, err := runner(o)
-			if err != nil {
-				results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				return
-			}
-			results <- outcome{
-				rec:    campaign.NewRecord(j, res),
-				key:    wire.Key,
-				cycles: float64(j.Cycles + j.Warmup),
-				secs:   time.Since(began).Seconds(),
-			}
-		}()
-	}
-	// startGang launches one lockstep batch of pre-decoded jobs on one
-	// goroutine: one gang simulation, one posted outcome per member. The
-	// gang's wall-clock is shared by all members, so it is attributed
-	// evenly to keep the per-job rate metrics meaningful.
-	startGang := func(batch []campaign.WireJob, gjobs []campaign.Job) {
+	exec := campaign.Executor{Runner: w.Runner, GangRunner: w.GangRunner}
+	// execute runs one batch (one GangGroups group) on its own goroutine
+	// and sends one outcome per member. The batch's wall-clock is
+	// shared by its members, so it is attributed evenly to keep the
+	// per-job rate metrics meaningful.
+	execute := func(batch []campaign.Job) {
 		inflight += len(batch)
 		w.m.inflight.Set(float64(inflight))
 		go func() {
-			opts := make([]sim.Options, len(gjobs))
-			for k, j := range gjobs {
-				o, err := j.SimOptions()
-				if err != nil {
-					// Members share one GangKey, hence one trace file:
-					// a load failure fails the batch together.
-					for _, wire := range batch {
-						results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-					}
-					return
-				}
-				opts[k] = o
-			}
 			began := time.Now()
-			res, err := gangRunner(opts)
-			if err != nil {
-				// The lockstep failed before producing any member's
-				// result: the batch fails together.
-				for _, wire := range batch {
-					results <- outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
-				}
-				return
-			}
+			outs := exec.Execute(batch)
 			secs := time.Since(began).Seconds() / float64(len(batch))
-			for k, j := range gjobs {
+			for k, o := range outs {
+				key := batch[k].Key()
+				if o.Err != nil {
+					results <- outcome{fail: &JobFailure{Key: key, Error: o.Err.Error()}, key: key}
+					continue
+				}
 				results <- outcome{
-					rec:    campaign.NewRecord(j, res[k]),
-					key:    batch[k].Key,
-					cycles: float64(j.Cycles + j.Warmup),
+					rec:    o.Record,
+					key:    key,
+					cycles: float64(batch[k].Cycles + batch[k].Warmup),
 					secs:   secs,
 				}
 			}
 		}()
 	}
-	// startBatch dispatches one lease's worth of jobs, gang-batching
-	// compatible ones when GangWidth allows. Wires that do not decode
-	// (or whose key does not round-trip) never join a gang: they go
-	// through the solo path, which produces the detailed failure.
+	// startBatch dispatches one lease's worth of jobs. A wire that does
+	// not decode, or whose key does not round-trip, fails on its own;
+	// the rest run in GangGroups groups (singletons below GangWidth 2).
 	startBatch := func(wires []campaign.WireJob) {
-		if w.GangWidth < 2 || len(wires) < 2 {
-			for _, wire := range wires {
-				start(wire)
-			}
-			return
-		}
-		var good []campaign.WireJob
-		var goodJobs []campaign.Job
+		var jobs []campaign.Job
 		for _, wire := range wires {
 			j, err := wire.Job()
-			if err != nil || j.Key() != wire.Key {
-				start(wire)
+			if err == nil && j.Key() != wire.Key {
+				err = fmt.Errorf("cluster: job key mismatch (worker and coordinator builds differ?): computed %s, leased %s", j.Key(), wire.Key)
+			}
+			if err != nil {
+				inflight++
+				w.m.inflight.Set(float64(inflight))
+				fail := outcome{fail: &JobFailure{Key: wire.Key, Error: err.Error()}, key: wire.Key}
+				go func() { results <- fail }()
 				continue
 			}
-			good = append(good, wire)
-			goodJobs = append(goodJobs, j)
+			jobs = append(jobs, j)
 		}
-		for _, group := range campaign.GangGroups(goodJobs, w.GangWidth) {
-			if len(group) == 1 {
-				start(good[group[0]])
-				continue
-			}
-			batch := make([]campaign.WireJob, len(group))
-			gjobs := make([]campaign.Job, len(group))
+		for _, group := range campaign.GangGroups(jobs, w.GangWidth) {
+			batch := make([]campaign.Job, len(group))
 			for k, gi := range group {
-				batch[k], gjobs[k] = good[gi], goodJobs[gi]
+				batch[k] = jobs[gi]
 			}
-			w.logf("gang of %d (%s ...)", len(batch), batch[0].Key)
-			startGang(batch, gjobs)
+			if len(batch) > 1 {
+				w.logf("gang of %d (%s ...)", len(batch), batch[0].Key())
+			}
+			execute(batch)
 		}
 	}
 	// finish books one completed outcome — liveness for the next

@@ -150,26 +150,11 @@ func New(cfg Config) *Server {
 		}
 		s.resumeRecovered(recovered)
 	} else {
-		// Single-process mode: a job-level runner so sampled jobs can
-		// stream live interval points into the hub; everything else is
-		// NewCache semantics (the runner ignores ctx, like a local
-		// simulation always has).
-		runner := cfg.Runner
-		if runner == nil {
-			runner = sim.Run
-		}
-		s.cache = campaign.NewJobCache(cfg.Store, func(_ context.Context, j campaign.Job) (campaign.Record, error) {
-			o, err := j.SimOptions()
-			if err != nil {
-				return campaign.Record{}, err
-			}
-			j.StreamSamples(&o, s.samples.publish)
-			res, err := runner(o)
-			if err != nil {
-				return campaign.Record{}, err
-			}
-			return campaign.NewRecord(j, res), nil
-		})
+		// Single-process mode: an executor that streams sampled jobs'
+		// live interval points into the hub; everything else is
+		// NewCache semantics.
+		exec := campaign.Executor{Runner: cfg.Runner, OnSample: s.samples.publish}
+		s.cache = campaign.NewJobCache(cfg.Store, exec.Run)
 		s.sched = campaign.NewShared(cfg.Workers)
 	}
 	// The registry needs the cache in place; the coordinator adds the

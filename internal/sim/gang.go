@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"repro/internal/cmp"
-	"repro/internal/core"
 )
 
 // This file is the audited home of simulator-core concurrency: the gang
@@ -20,20 +17,19 @@ import (
 // GangSession runs N member simulations — variants of one study, such as
 // a policy sweep over a shared (workload, seed) — in lockstep: every
 // member advances through the same cycle window together, one chunk at a
-// time. Opening members as a gang lets the immutable inputs (workload
-// profiles, prewarm plans, and above all the synthesised instruction
-// streams) be built once and shared, and lets the chunk loop fan members
-// out across goroutines behind deterministic barriers, so a gang's
-// aggregate simulated-cycles-per-second multiplies with both sharing and
+// time. Each member is an ordinary Session; the gang adds only what a
+// group of them can share. Members that would synthesise the same
+// instruction stream read one memoised copy through private cursors
+// (gangstream.go), and the chunk loop fans members out across
+// goroutines behind deterministic barriers, so a gang's aggregate
+// simulated-cycles-per-second multiplies with both sharing and
 // available cores. Every member's observable output is bit-identical to
 // a solo Session over the same Options — the invariant internal/simtest
 // (DiffGang) exists to enforce.
 //
-// Per-member mutable state is kept in struct-of-arrays form: parallel
-// slices indexed by member, one entry per chip, sample, probe list and
-// measurement window. Members never share mutable state; the only
-// cross-member structures are the memoised immutable streams
-// (gangstream.go), which member goroutines read lock-free.
+// Members never share mutable state; the only cross-member structures
+// are the memoised immutable streams, which member goroutines read
+// lock-free.
 //
 // Lifecycle mirrors Session, widened: OpenGang -> (Step | StepContext |
 // Snapshot | Observe | ResetMeasurement | FinishMember)* -> Finish.
@@ -41,22 +37,7 @@ import (
 // session's own, invisible to callers, and results are independent of
 // both SetParallelism and GOMAXPROCS (test-enforced).
 type GangSession struct {
-	opts  []Options
-	chips []*cmp.Chip
-
-	// Per-member measurement windows (Session.measureStart/resetGen in
-	// struct-of-arrays form).
-	measureStart []uint64
-	resetGen     []uint64
-	finished     []bool
-	results      []*Result
-
-	// Per-member observation state: probe lists and the reusable
-	// sample/totals scratch each member's goroutine refreshes.
-	probes  [][]probeState
-	samples []Sample
-	totals  []cmp.Totals
-	mflush  [][]*core.MFLUSH
+	members []*Session
 
 	// cursors[m] lists member m's shared-stream cursors, released when
 	// the member finishes so it stops pinning the streams' trim marks.
@@ -68,8 +49,6 @@ type GangSession struct {
 	cycle    uint64
 	open     int
 	parallel int
-	// active is the scratch index list rebuilt each chunk.
-	active []int
 }
 
 // gangStride is the internal lockstep chunk: members run this many
@@ -79,78 +58,51 @@ type GangSession struct {
 // never depend on it (chunking is invariant, test-enforced).
 const gangStride = 2048
 
-// OpenGang builds one machine per member and returns the gang positioned
+// OpenGang builds one Session per member and returns the gang positioned
 // at cycle zero. Each member's Options are honoured exactly as Open
 // does; members may differ in any field, though sharing (and therefore
 // speedup) is greatest for members that differ only in policy or tweak.
-// The gang's internal parallelism defaults to min(GOMAXPROCS, width);
+// A gang of one shares nothing and builds exactly what Open builds. The
+// gang's internal parallelism defaults to min(GOMAXPROCS, width);
 // SetParallelism overrides it.
 func OpenGang(opts []Options) (*GangSession, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("sim: gang needs at least one member")
 	}
-	shared := newGangShared()
+	var shared *gangShared
+	if len(opts) > 1 {
+		shared = newGangShared()
+	}
 	g := &GangSession{
-		opts:         append([]Options(nil), opts...),
-		chips:        make([]*cmp.Chip, len(opts)),
-		measureStart: make([]uint64, len(opts)),
-		resetGen:     make([]uint64, len(opts)),
-		finished:     make([]bool, len(opts)),
-		results:      make([]*Result, len(opts)),
-		probes:       make([][]probeState, len(opts)),
-		samples:      make([]Sample, len(opts)),
-		totals:       make([]cmp.Totals, len(opts)),
-		mflush:       make([][]*core.MFLUSH, len(opts)),
-		cursors:      make([][]*streamCursor, len(opts)),
-		open:         len(opts),
+		members: make([]*Session, len(opts)),
+		cursors: make([][]*streamCursor, len(opts)),
+		open:    len(opts),
 	}
 	for m, opt := range opts {
-		before := cursorsSnapshot(shared)
-		chip, err := buildChipShared(opt, shared)
+		chip, cursors, err := buildChip(opt, shared)
 		if err != nil {
-			return nil, fmt.Errorf("sim: gang member %d: %w", m, err)
+			return nil, memberErr(len(opts), m, err)
 		}
-		g.chips[m] = chip
-		g.mflush[m] = mflushPolicies(chip)
-		g.cursors[m] = cursorsSince(shared, before)
+		g.members[m] = newSession(opt, chip)
+		g.cursors[m] = cursors
 	}
-	g.streams = shared.order
-	g.parallel = runtime.GOMAXPROCS(0)
-	if g.parallel > len(opts) {
-		g.parallel = len(opts)
+	if shared != nil {
+		g.streams = shared.order
 	}
-	if g.parallel < 1 {
-		g.parallel = 1
-	}
+	g.SetParallelism(runtime.GOMAXPROCS(0))
 	return g, nil
 }
 
-// cursorsSnapshot records how many cursors each stream holds, so the
-// cursors a member's build adds can be attributed to that member.
-func cursorsSnapshot(gs *gangShared) []int {
-	counts := make([]int, len(gs.order))
-	for i, s := range gs.order {
-		counts[i] = len(s.cursors)
+// member returns member m's session, or an error naming the bad index.
+func (g *GangSession) member(m int) (*Session, error) {
+	if m < 0 || m >= len(g.members) {
+		return nil, fmt.Errorf("sim: gang has no member %d", m)
 	}
-	return counts
-}
-
-// cursorsSince returns every cursor created after the snapshot was
-// taken: the cursors belonging to the member just built.
-func cursorsSince(gs *gangShared, before []int) []*streamCursor {
-	var out []*streamCursor
-	for i, s := range gs.order {
-		from := 0
-		if i < len(before) {
-			from = before[i]
-		}
-		out = append(out, s.cursors[from:]...)
-	}
-	return out
+	return g.members[m], nil
 }
 
 // Width returns the gang's member count (finished members included).
-func (g *GangSession) Width() int { return len(g.opts) }
+func (g *GangSession) Width() int { return len(g.members) }
 
 // Open returns how many members have not yet been finished.
 func (g *GangSession) Open() int { return g.open }
@@ -161,7 +113,7 @@ func (g *GangSession) Cycle() uint64 { return g.cycle }
 
 // MeasuredCycles returns member m's current measurement-window length.
 func (g *GangSession) MeasuredCycles(m int) uint64 {
-	return g.chips[m].Now() - g.measureStart[m]
+	return g.members[m].MeasuredCycles()
 }
 
 // Parallelism returns the goroutine budget Step spreads members over.
@@ -172,13 +124,7 @@ func (g *GangSession) Parallelism() int { return g.parallel }
 // machines and shared streams are immutable — so this is purely a
 // throughput knob. Call it between Steps, not during one.
 func (g *GangSession) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(g.opts) {
-		n = len(g.opts)
-	}
-	g.parallel = n
+	g.parallel = max(1, min(n, len(g.members)))
 }
 
 // Step advances every open member by n cycles in lockstep, firing each
@@ -207,10 +153,7 @@ func (g *GangSession) StepContext(ctx context.Context, n uint64) (uint64, error)
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
-		c := n - done
-		if c > gangStride {
-			c = gangStride
-		}
+		c := min(n-done, gangStride)
 		g.runChunk(c)
 		done += c
 	}
@@ -221,29 +164,25 @@ func (g *GangSession) StepContext(ctx context.Context, n uint64) (uint64, error)
 // across the parallelism budget, then waits for all of them (the
 // deterministic barrier) and trims the shared streams.
 func (g *GangSession) runChunk(c uint64) {
-	act := g.active[:0]
-	for m, fin := range g.finished {
-		if !fin {
-			act = append(act, m)
-		}
-	}
-	g.active = act
-
-	if p := min(g.parallel, len(act)); p > 1 {
+	if p := min(g.parallel, g.open); p > 1 {
 		var wg sync.WaitGroup
 		for w := 0; w < p; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for k := w; k < len(act); k += p {
-					g.stepMember(act[k], c)
+				for k := w; k < len(g.members); k += p {
+					if s := g.members[k]; !s.finished {
+						s.Step(c)
+					}
 				}
 			}(w)
 		}
 		wg.Wait()
 	} else {
-		for _, m := range act {
-			g.stepMember(m, c)
+		for _, s := range g.members {
+			if !s.finished {
+				s.Step(c)
+			}
 		}
 	}
 	g.cycle += c
@@ -252,125 +191,60 @@ func (g *GangSession) runChunk(c uint64) {
 	}
 }
 
-// stepMember advances one member by n cycles on the calling goroutine,
-// mirroring Session.Step (probe-free fast path included).
-//
-//mflush:hotpath
-func (g *GangSession) stepMember(m int, n uint64) {
-	chip := g.chips[m]
-	if len(g.probes[m]) == 0 {
-		chip.Run(n)
-		return
-	}
-	for i := uint64(0); i < n; i++ {
-		chip.Tick()
-		g.tickProbes(m)
-	}
-}
-
-// tickProbes advances member m's probe countdowns by one cycle and fires
-// the due ones, refreshing m's sample at most once per cycle (exactly
-// Session.tickProbes, against member-local state).
-//
-//mflush:hotpath
-func (g *GangSession) tickProbes(m int) {
-	refreshed := false
-	for i := range g.probes[m] {
-		ps := &g.probes[m][i]
-		if ps.countdown--; ps.countdown > 0 {
-			continue
-		}
-		ps.countdown = ps.p.Every
-		if !refreshed {
-			g.refreshSample(m)
-			refreshed = true
-		}
-		ps.p.Fn(&g.samples[m])
-	}
-}
-
-// refreshSample fills member m's reusable sample from its chip.
-//
-//mflush:hotpath
-func (g *GangSession) refreshSample(m int) {
-	refreshSampleInto(&g.samples[m], &g.totals[m], g.chips[m], g.mflush[m],
-		g.measureStart[m], g.resetGen[m])
-}
-
-// ResetMeasurement zeroes every open member's accumulated metrics and
-// restarts their measurement windows at the current lockstep cycle —
-// the gang-wide warm-up boundary, exactly Session.ResetMeasurement per
-// member. Finished members are left untouched.
+// ResetMeasurement restarts every open member's measurement window at
+// the current lockstep cycle — the gang-wide warm-up boundary, exactly
+// Session.ResetMeasurement per member. Finished members are left
+// untouched.
 func (g *GangSession) ResetMeasurement() {
-	for m, fin := range g.finished {
-		if fin {
-			continue
+	for _, s := range g.members {
+		if !s.finished {
+			s.ResetMeasurement()
 		}
-		for _, c := range g.chips[m].Cores() {
-			c.ResetMeasurement()
-		}
-		g.chips[m].L2().ResetStats()
-		g.measureStart[m] = g.chips[m].Now()
-		g.resetGen[m]++
 	}
 }
 
-// Snapshot refreshes and returns member m's interval digest. The Sample
-// shares the member's reused buffers — valid until the next Step,
-// Snapshot or probe firing for that member; use Sample.Point to retain
-// a copy.
+// Snapshot refreshes and returns member m's interval digest, with
+// Session.Snapshot's buffer-reuse contract.
 func (g *GangSession) Snapshot(m int) *Sample {
-	g.refreshSample(m)
-	return &g.samples[m]
+	return g.members[m].Snapshot()
 }
 
 // Observe registers a probe for member m; see Probe for the firing
 // invariants and Step for the gang's concurrency contract. Probes may
 // be added to any unfinished member at any point before it finishes.
 func (g *GangSession) Observe(m int, p Probe) error {
-	if m < 0 || m >= len(g.opts) {
-		return fmt.Errorf("sim: gang has no member %d", m)
+	s, err := g.member(m)
+	if err != nil {
+		return err
 	}
-	if g.finished[m] {
-		return fmt.Errorf("sim: Observe on finished gang member %d", m)
+	if err := s.Observe(p); err != nil {
+		return memberErr(len(g.members), m, err)
 	}
-	if p.Every == 0 {
-		return fmt.Errorf("sim: probe needs a positive firing period")
-	}
-	if p.Fn == nil {
-		return fmt.Errorf("sim: probe needs a firing function")
-	}
-	g.probes[m] = append(g.probes[m], probeState{p: p, countdown: p.Every})
 	return nil
 }
 
-// FinishMember validates member m's machine invariants, collects its
-// Result over its measurement window, and removes it from the lockstep:
-// subsequent Steps advance only the remaining members, and the member's
-// shared-stream cursors are released so they stop pinning stream memory.
-// The rest of the gang is unaffected — bit-identically so.
+// FinishMember finishes member m's Session and removes it from the
+// lockstep: subsequent Steps advance only the remaining members, and
+// the member's shared-stream cursors are released so they stop pinning
+// stream memory. The rest of the gang is unaffected — bit-identically
+// so.
 func (g *GangSession) FinishMember(m int) (*Result, error) {
-	if m < 0 || m >= len(g.opts) {
-		return nil, fmt.Errorf("sim: gang has no member %d", m)
-	}
-	if g.finished[m] {
-		return nil, fmt.Errorf("sim: gang member %d already finished", m)
-	}
-	measured := g.MeasuredCycles(m)
-	if measured == 0 {
-		return nil, fmt.Errorf("sim: gang member %d finished with an empty measurement window", m)
-	}
-	g.finished[m] = true
-	g.open--
-	for _, cur := range g.cursors[m] {
-		cur.stream.release(cur)
-	}
-	g.cursors[m] = nil
-	res, err := collect(g.chips[m], g.opts[m], measured)
+	s, err := g.member(m)
 	if err != nil {
-		return nil, fmt.Errorf("sim: gang member %d: %w", m, err)
+		return nil, err
 	}
-	g.results[m] = res
+	wasOpen := !s.finished
+	res, err := s.Finish()
+	if wasOpen && s.finished {
+		g.open--
+		for _, cur := range g.cursors[m] {
+			cur.stream.release(cur)
+		}
+		g.cursors[m] = nil
+	}
+	if err != nil {
+		return nil, memberErr(len(g.members), m, err)
+	}
 	return res, nil
 }
 
@@ -380,34 +254,37 @@ func (g *GangSession) FinishMember(m int) (*Result, error) {
 // has been finished, so a partial failure still closes the gang.
 func (g *GangSession) Finish() ([]*Result, error) {
 	var firstErr error
-	for m := range g.opts {
-		if g.finished[m] {
-			continue
+	results := make([]*Result, len(g.members))
+	for m, s := range g.members {
+		if !s.finished {
+			if _, err := g.FinishMember(m); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
-		if _, err := g.FinishMember(m); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		results[m] = s.result
 	}
-	return g.results, firstErr
+	return results, firstErr
 }
 
-// RunGang executes one simulation per member to completion in lockstep —
-// the gang analogue of Run, and bit-identical to running each member's
-// Options through Run individually (test-enforced). All members must
+// RunGang executes one simulation per member to completion in lockstep:
+// OpenGang, Step(Warmup), ResetMeasurement, Step(Cycles), Finish. Each
+// member's result is bit-identical to running its Options alone
+// (test-enforced), and Run is RunGang over one member. All members must
 // share one cycle budget and warm-up length (gang batching groups jobs
-// that way); per-member Interval/OnSample sampling is honoured exactly
-// as Run does it.
+// that way). A member with a positive Interval gets a Recorder probe
+// registered after warm-up, so its Result.Samples cover exactly the
+// measured window, with OnSample receiving each point live.
 func RunGang(opts []Options) ([]*Result, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("sim: empty gang")
 	}
-	for i, o := range opts {
+	for m, o := range opts {
 		if o.Cycles == 0 {
-			return nil, fmt.Errorf("sim: gang member %d: zero cycle budget", i)
+			return nil, memberErr(len(opts), m, fmt.Errorf("sim: zero cycle budget"))
 		}
 		if o.Cycles != opts[0].Cycles || o.Warmup != opts[0].Warmup {
 			return nil, fmt.Errorf("sim: gang member %d budget (%d cycles, %d warmup) differs from member 0 (%d, %d); gangs run one lockstep window",
-				i, o.Cycles, o.Warmup, opts[0].Cycles, opts[0].Warmup)
+				m, o.Cycles, o.Warmup, opts[0].Cycles, opts[0].Warmup)
 		}
 	}
 	g, err := OpenGang(opts)
@@ -421,8 +298,6 @@ func RunGang(opts []Options) ([]*Result, error) {
 	recs := make([]*Recorder, len(opts))
 	for m, o := range opts {
 		if o.Interval > 0 {
-			// Registered after warm-up so each member's series covers
-			// exactly the measured window, like Run's.
 			recs[m] = &Recorder{OnPoint: o.OnSample}
 			if err := g.Observe(m, recs[m].Probe(o.Interval)); err != nil {
 				return nil, err
@@ -440,4 +315,13 @@ func RunGang(opts []Options) ([]*Result, error) {
 		}
 	}
 	return results, nil
+}
+
+// memberErr names member m in err for gangs wider than one; a gang of
+// one is a solo run (Run) and reports its errors as such.
+func memberErr(width, m int, err error) error {
+	if width == 1 {
+		return err
+	}
+	return fmt.Errorf("sim: gang member %d: %w", m, err)
 }

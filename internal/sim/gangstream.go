@@ -1,79 +1,35 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/isa"
 	"repro/internal/synth"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Gang sharing: a GangSession's members are independent machines, but
-// most of what they consume is immutable and, across the policy/seed
-// variants a gang batches, often identical. gangShared memoises those
-// immutable inputs during OpenGang so one fetch/decode (synthesis) pass,
-// one profile expansion and one prewarm-plan computation amortise over
-// every member that would have recomputed the same bytes:
-//
-//   - workload profiles, keyed by workload name;
-//   - L2 prewarm fill plans, keyed by workload name and machine shape;
-//   - synthesised instruction streams, keyed per thread by (workload,
-//     profile index, generator seed, address base) — the exact inputs
-//     that make two generators emit bit-identical streams.
+// the synthesised instruction streams they consume are immutable and,
+// across the policy/tweak variants a gang batches, often identical.
+// gangShared memoises them during OpenGang so one synthesis pass
+// amortises over every member that would have generated the same bytes.
+// Streams are keyed per thread by (workload, profile index, generator
+// seed, address base) — the exact inputs that make two generators emit
+// bit-identical streams. Everything else, the L2 prewarm included, each
+// member builds for itself.
 //
 // Mutable state is never shared: each member owns its chip, and stream
 // consumers are per-member cursors over the memoised (immutable) stream.
 type gangShared struct {
-	profiles map[string][]synth.Profile
-	streams  map[streamKey]*sharedStream
+	streams map[streamKey]*sharedStream
 	// order lists streams in creation order so trimming and tests are
 	// deterministic (map iteration is not).
-	order   []*sharedStream
-	prewarm map[string][]uint64
+	order []*sharedStream
 }
 
 func newGangShared() *gangShared {
-	return &gangShared{
-		profiles: make(map[string][]synth.Profile),
-		streams:  make(map[streamKey]*sharedStream),
-		prewarm:  make(map[string][]uint64),
-	}
-}
-
-// profilesFor memoises Workload.Profiles by workload name.
-func (gs *gangShared) profilesFor(w workload.Workload) ([]synth.Profile, error) {
-	if p, ok := gs.profiles[w.Name]; ok {
-		return p, nil
-	}
-	p, err := w.Profiles()
-	if err != nil {
-		return nil, err
-	}
-	gs.profiles[w.Name] = p
-	return p, nil
-}
-
-// prewarmFor memoises the prewarm fill plan by workload name and machine
-// shape. The plan depends on the profiles, the thread address bases
-// (derived from the core/thread geometry) and the L2 cap/line geometry;
-// the key covers all of them.
-func (gs *gangShared) prewarmFor(workloadName string, profiles []synth.Profile,
-	bases [][]uint64, capBytes, line uint64) []uint64 {
-	threadsPerCore := 0
-	if len(bases) > 0 {
-		threadsPerCore = len(bases[0])
-	}
-	key := fmt.Sprintf("%s|cores=%d|threads=%d|cap=%d|line=%d",
-		workloadName, len(bases), threadsPerCore, capBytes, line)
-	if plan, ok := gs.prewarm[key]; ok {
-		return plan
-	}
-	plan := prewarmPlan(profiles, bases, capBytes, line)
-	gs.prewarm[key] = plan
-	return plan
+	return &gangShared{streams: make(map[streamKey]*sharedStream)}
 }
 
 // streamKey identifies one thread's synthesised instruction stream: two

@@ -14,7 +14,7 @@ import (
 // Regressions here mean a pool or scratch buffer stopped being reused.
 func TestCycleLoopAllocBudget(t *testing.T) {
 	w, _ := workload.ByName("8W3")
-	chip, err := buildChip(Options{Workload: w, Policy: SpecMFLUSH, Cycles: 1, Seed: 1})
+	chip, _, err := buildChip(Options{Workload: w, Policy: SpecMFLUSH, Cycles: 1, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,27 +38,36 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 	}
 }
 
-// TestOpenAllocBudget caps the bytes sim.Open allocates for the paper's
-// largest machine (8W3). Open is paid once per job; its dominant costs
-// are the caches themselves, and the L2 prewarm must stream into the L2
-// rather than materialise its fill plan (which alone once tripled the
-// per-job allocation).
+// TestOpenAllocBudget caps the bytes sim.Open — and a gang of one,
+// which Run goes through — allocates for the paper's largest machine
+// (8W3). Open is paid once per job; its dominant costs are the caches
+// themselves, and the L2 prewarm must stream into the L2 rather than
+// materialise its fill plan (which alone once tripled the per-job
+// allocation).
 func TestOpenAllocBudget(t *testing.T) {
 	w, _ := workload.ByName("8W3")
 	opt := Options{Workload: w, Policy: SpecMFLUSH, Cycles: 1, Seed: 1}
 	const budget = 3 << 20
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := Open(opt)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("Open(8W3) allocated %.2f MB", float64(bytes)/(1<<20))
-	if bytes > budget {
-		t.Fatalf("Open(8W3) allocated %d bytes, budget is %d", bytes, budget)
+	for _, tc := range []struct {
+		name string
+		open func() error
+	}{
+		{"Open", func() error { _, err := Open(opt); return err }},
+		{"OpenGang", func() error { _, err := OpenGang([]Options{opt}); return err }},
+	} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.open()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s(8W3) allocated %.2f MB", tc.name, float64(bytes)/(1<<20))
+		if bytes > budget {
+			t.Fatalf("%s(8W3) allocated %d bytes, budget is %d", tc.name, bytes, budget)
+		}
 	}
 }
 

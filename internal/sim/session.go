@@ -29,6 +29,9 @@ type Session struct {
 	measureStart uint64
 	resetGen     uint64
 	finished     bool
+	// result is what a successful Finish returned, kept so a gang's
+	// Finish can report members finished earlier.
+	result *Result
 
 	probes []probeState
 	// sample is the reusable digest refreshed by Snapshot and probe
@@ -48,11 +51,16 @@ type Session struct {
 // step. Everything else in opt (workload, policy, seed, tweak, traces)
 // is honoured exactly as Run does.
 func Open(opt Options) (*Session, error) {
-	chip, err := buildChip(opt)
+	chip, _, err := buildChip(opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opt: opt, chip: chip, mflush: mflushPolicies(chip)}, nil
+	return newSession(opt, chip), nil
+}
+
+// newSession wraps a freshly built chip.
+func newSession(opt Options, chip *cmp.Chip) *Session {
+	return &Session{opt: opt, chip: chip, mflush: mflushPolicies(chip)}
 }
 
 // mflushPolicies returns the per-core MFLUSH policies, or nil when any
@@ -127,41 +135,30 @@ func (s *Session) Snapshot() *Sample {
 //
 //mflush:hotpath
 func (s *Session) refreshSample() {
-	refreshSampleInto(&s.sample, &s.totals, s.chip, s.mflush, s.measureStart, s.resetGen)
-}
-
-// refreshSampleInto fills sm from the chip, reusing sm's slices and the
-// caller's totals scratch. It is the one sampling implementation shared
-// by Session and GangSession (one call per gang member, against that
-// member's own sample/totals pair, so concurrent members never share a
-// buffer).
-//
-//mflush:hotpath
-func refreshSampleInto(sm *Sample, totals *cmp.Totals, chip *cmp.Chip,
-	mflush []*core.MFLUSH, measureStart, resetGen uint64) {
-	chip.ReadTotals(totals)
-	sm.Cycle = chip.Now()
-	sm.MeasuredCycles = chip.Now() - measureStart
-	sm.resetGen = resetGen
-	sm.Committed = chip.AppendCommitted(sm.Committed[:0])
+	sm := &s.sample
+	s.chip.ReadTotals(&s.totals)
+	sm.Cycle = s.chip.Now()
+	sm.MeasuredCycles = sm.Cycle - s.measureStart
+	sm.resetGen = s.resetGen
+	sm.Committed = s.chip.AppendCommitted(sm.Committed[:0])
 	if sm.MeasuredCycles > 0 {
-		sm.IPC = float64(totals.Committed) / float64(sm.MeasuredCycles)
+		sm.IPC = float64(s.totals.Committed) / float64(sm.MeasuredCycles)
 	} else {
 		sm.IPC = 0
 	}
-	sm.Flushes = totals.Flushes
-	sm.FlushedInsts = totals.FlushedInsts
-	sm.WastedEnergy = totals.WastedEnergy
-	sm.L2Hits = totals.L2Hits
-	sm.L2Misses = totals.L2Misses
-	if len(mflush) == 0 {
+	sm.Flushes = s.totals.Flushes
+	sm.FlushedInsts = s.totals.FlushedInsts
+	sm.WastedEnergy = s.totals.WastedEnergy
+	sm.L2Hits = s.totals.L2Hits
+	sm.L2Misses = s.totals.L2Misses
+	if len(s.mflush) == 0 {
 		sm.MCReg = nil
 		return
 	}
 	if sm.MCReg == nil {
-		sm.MCReg = make([][]uint8, len(mflush))
+		sm.MCReg = make([][]uint8, len(s.mflush))
 	}
-	for i, mf := range mflush {
+	for i, mf := range s.mflush {
 		sm.MCReg[i] = mf.MCReg().AppendSnapshot(sm.MCReg[i][:0])
 	}
 }
@@ -180,5 +177,10 @@ func (s *Session) Finish() (*Result, error) {
 		return nil, fmt.Errorf("sim: session finished with an empty measurement window")
 	}
 	s.finished = true
-	return collect(s.chip, s.opt, measured)
+	res, err := collect(s.chip, s.opt, measured)
+	if err != nil {
+		return nil, err
+	}
+	s.result = res
+	return res, nil
 }

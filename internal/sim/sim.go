@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cache"
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -132,7 +133,7 @@ type Options struct {
 	// queue sizes, bus width, ...). The mutated config must validate.
 	Tweak func(*config.Config)
 	// ThreadTraces, when non-empty, replays recorded traces (one slice
-	// per hardware thread, e.g. loaded with trace.ReadAll) instead of
+	// per hardware thread, e.g. from trace.LoadScenario) instead of
 	// synthesising instructions from the Workload's profiles. Threads
 	// 2i and 2i+1 share core i. Functional L2 pre-warming is skipped:
 	// recorded traces carry no footprint metadata, so rely on Warmup.
@@ -228,62 +229,28 @@ func (r *Result) Summary() Summary {
 	}
 }
 
-// Run executes one simulation to completion. It is a thin wrapper over
-// the Session API — Open, Step(Warmup), ResetMeasurement, Step(Cycles),
-// Finish — and its output is bit-identical to the pre-Session one-shot
-// driver (test-enforced with golden fingerprints).
+// Run executes one simulation to completion: RunGang over one member,
+// which shares nothing and so builds exactly what Open builds. Its
+// output is bit-identical to the pre-Session one-shot driver
+// (test-enforced with golden fingerprints).
 func Run(opt Options) (*Result, error) {
-	if opt.Cycles == 0 {
-		return nil, fmt.Errorf("sim: zero cycle budget")
-	}
-	s, err := Open(opt)
+	res, err := RunGang([]Options{opt})
 	if err != nil {
 		return nil, err
 	}
-	if opt.Warmup > 0 {
-		s.Step(opt.Warmup)
-		s.ResetMeasurement()
-	}
-	var rec *Recorder
-	if opt.Interval > 0 {
-		// Registered after warm-up so the series covers exactly the
-		// measured window, firing at measured cycles Interval,
-		// 2*Interval, ...
-		rec = &Recorder{OnPoint: opt.OnSample}
-		if err := s.Observe(rec.Probe(opt.Interval)); err != nil {
-			return nil, err
-		}
-	}
-	s.Step(opt.Cycles)
-	res, err := s.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		res.Samples = rec.Points
-	}
-	return res, nil
+	return res[0], nil
 }
 
 // buildChip assembles the machine, workload sources and policies for one
-// run, including functional L2 pre-warming. Split from Run so tests can
-// measure the cycle loop (allocations, throughput) apart from
-// construction.
-func buildChip(opt Options) (*cmp.Chip, error) {
-	return buildChipShared(opt, nil)
-}
-
-// buildChipShared is buildChip with an optional gang-sharing context.
-// With a nil shared it is exactly the solo build. With one, the
-// immutable inputs every member would otherwise recompute are built once
-// and reused across the gang: workload profiles, the L2 prewarm fill
-// plan, and — the expensive one — the synthesised instruction streams,
-// which members consume through per-member cursors over one memoised
-// stream instead of each running its own generator. Sharing is keyed so
-// only members that would have produced bit-identical inputs share them,
+// run, including functional L2 pre-warming. With a nil shared every
+// thread runs its own generator. With one (a gang wider than one), each
+// synthesised thread instead reads the memoised stream of every member
+// that would synthesise the same bytes, through a private cursor; the
+// cursors are returned so the gang can release them when the member
+// finishes. Sharing is keyed so only bit-identical streams are shared,
 // which keeps every member's output bit-identical to a solo build
 // (test-enforced by simtest.DiffGang).
-func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
+func buildChip(opt Options, shared *gangShared) (*cmp.Chip, []*streamCursor, error) {
 	cores := opt.Cores
 	if cores == 0 {
 		if len(opt.ThreadTraces) > 0 {
@@ -297,7 +264,7 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 	if opt.Tweak != nil {
 		opt.Tweak(&cfg)
 		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: tweaked config invalid: %w", err)
+			return nil, nil, fmt.Errorf("sim: tweaked config invalid: %w", err)
 		}
 	}
 
@@ -305,26 +272,22 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 	threadsPerCore := cfg.Core.ThreadsPerCore
 	if len(opt.ThreadTraces) > 0 {
 		if len(opt.ThreadTraces) > cores*threadsPerCore {
-			return nil, fmt.Errorf("sim: %d traces need more than the %d available contexts",
+			return nil, nil, fmt.Errorf("sim: %d traces need more than the %d available contexts",
 				len(opt.ThreadTraces), cores*threadsPerCore)
 		}
 		for i, tr := range opt.ThreadTraces {
 			if len(tr) == 0 {
-				return nil, fmt.Errorf("sim: trace %d is empty", i)
+				return nil, nil, fmt.Errorf("sim: trace %d is empty", i)
 			}
 		}
 	} else {
 		var err error
-		if shared != nil {
-			profiles, err = shared.profilesFor(opt.Workload)
-		} else {
-			profiles, err = opt.Workload.Profiles()
-		}
+		profiles, err = opt.Workload.Profiles()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(profiles) > cores*threadsPerCore {
-			return nil, fmt.Errorf("sim: workload %s needs %d contexts, machine has %d",
+			return nil, nil, fmt.Errorf("sim: workload %s needs %d contexts, machine has %d",
 				opt.Workload.Name, len(profiles), cores*threadsPerCore)
 		}
 	}
@@ -332,34 +295,31 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 	policies := make([]policy.Policy, cores)
 	sources := make([][]trace.Source, cores)
 	bases := make([][]uint64, cores)
+	var cursors []*streamCursor
 	for c := 0; c < cores; c++ {
 		p, err := opt.Policy.Build(&cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		policies[c] = p
 		for t := 0; t < threadsPerCore; t++ {
 			g := c*threadsPerCore + t
 			seed, base := ReplayStream(opt.Seed, g)
 			var src trace.Source
-			if len(opt.ThreadTraces) > 0 {
+			switch {
+			case len(opt.ThreadTraces) > 0:
 				// Replay mode: threads beyond the supplied traces
 				// re-run them modulo the trace count.
 				src = trace.NewSliceSource(opt.ThreadTraces[g%len(opt.ThreadTraces)])
-			} else {
-				// Threads beyond the workload re-run it modulo its size
-				// (never happens for the paper's workloads, which
+			case shared != nil:
+				// Threads beyond the workload re-run it modulo its
+				// size (never happens for the paper's workloads, which
 				// exactly fill the machine).
-				prof := profiles[g%len(profiles)]
-				if shared != nil {
-					// Members whose thread would synthesise the exact
-					// same stream (same workload profile, generator
-					// seed and address base) read one memoised stream
-					// through private cursors.
-					src = shared.cursorFor(opt.Workload.Name, g%len(profiles), prof, seed, base)
-				} else {
-					src = synth.NewGenerator(prof, seed, base)
-				}
+				cur := shared.cursorFor(opt.Workload.Name, g%len(profiles), profiles[g%len(profiles)], seed, base)
+				cursors = append(cursors, cur)
+				src = cur
+			default:
+				src = synth.NewGenerator(profiles[g%len(profiles)], seed, base)
 			}
 			sources[c] = append(sources[c], src)
 			bases[c] = append(bases[c], base)
@@ -368,22 +328,13 @@ func buildChipShared(opt Options, shared *gangShared) (*cmp.Chip, error) {
 
 	chip, err := cmp.New(cfg, policies, sources, bases)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(profiles) > 0 {
-		capBytes := uint64(2 * chip.Config().Mem.L2.SizeBytes)
-		line := uint64(chip.Config().Mem.L2.LineBytes)
-		l2 := chip.L2().Cache()
-		if shared != nil {
-			for _, addr := range shared.prewarmFor(opt.Workload.Name, profiles, bases, capBytes, line) {
-				l2.Fill(addr)
-			}
-		} else {
-			cursors, _ := prewarmCursors(profiles, bases, capBytes, line)
-			prewarmWalk(cursors, line, func(addr uint64) { l2.Fill(addr) })
-		}
+		l2 := chip.Config().Mem.L2
+		prewarm(chip.L2().Cache(), profiles, bases, uint64(2*l2.SizeBytes), uint64(l2.LineBytes))
 	}
-	return chip, nil
+	return chip, cursors, nil
 }
 
 // ReplayStream returns the generator seed and address base thread g of a
@@ -414,21 +365,17 @@ func replayCores(opt Options, nTraces int) int {
 	return (nTraces + tpc - 1) / tpc
 }
 
-// prewarmCursor walks one thread's data footprint a line at a time.
-type prewarmCursor struct {
-	next, end uint64
-}
-
-// prewarmCursors sets up the functional L2 prewarm of each thread's data
-// footprint and returns the cursors with the total number of lines they
-// will fill. The paper's 120M-cycle runs reach this steady state on their
-// own; our shorter windows would otherwise keep reporting virgin-page
-// cold misses that no real steady state contains. Footprints much larger
-// than the L2 are skipped: they churn the cache regardless, so
-// prewarming them would only distort LRU state.
-func prewarmCursors(profiles []synth.Profile, bases [][]uint64, capBytes, line uint64) ([]prewarmCursor, int) {
-	var cursors []prewarmCursor
-	lines := 0
+// prewarm functionally fills the L2 with each thread's data footprint.
+// The paper's 120M-cycle runs reach this steady state on their own; our
+// shorter windows would otherwise keep reporting virgin-page cold misses
+// that no real steady state contains. Footprints much larger than the
+// L2 are skipped: they churn the cache regardless, so prewarming them
+// would only distort LRU state. The walk is streamed straight into the
+// L2, one line per thread per round, so the footprints interleave and
+// each thread retains a proportional share of the cache.
+func prewarm(l2 *cache.Cache, profiles []synth.Profile, bases [][]uint64, capBytes, line uint64) {
+	type cursor struct{ next, end uint64 }
+	var cursors []cursor
 	idx := 0
 	for c := range bases {
 		for t := range bases[c] {
@@ -439,44 +386,21 @@ func prewarmCursors(profiles []synth.Profile, bases [][]uint64, capBytes, line u
 			}
 			// Matches the generator's data placement (base + 1GB).
 			dataBase := bases[c][t] + 1<<30
-			cursors = append(cursors, prewarmCursor{next: dataBase, end: dataBase + prof.FootprintBytes})
-			lines += int((prof.FootprintBytes + line - 1) / line)
+			cursors = append(cursors, cursor{next: dataBase, end: dataBase + prof.FootprintBytes})
 		}
 	}
-	return cursors, lines
-}
-
-// prewarmWalk advances the cursors round-robin, one line each per round,
-// handing every line address to fill: the footprints are interleaved
-// across threads so each retains a proportional share of the L2.
-func prewarmWalk(cursors []prewarmCursor, line uint64, fill func(addr uint64)) {
-	for {
-		progressed := false
+	for progressed := true; progressed; {
+		progressed = false
 		for i := range cursors {
 			cu := &cursors[i]
 			if cu.next >= cu.end {
 				continue
 			}
-			fill(cu.next)
+			l2.Fill(cu.next)
 			cu.next += line
 			progressed = true
 		}
-		if !progressed {
-			return
-		}
 	}
-}
-
-// prewarmPlan records the prewarm fill sequence, sized exactly up front.
-// The plan depends only on immutable inputs (profiles, thread address
-// bases, L2 geometry), so a gang computes it once per distinct machine
-// shape and replays it into every member; a solo run streams the walk
-// straight into its L2 instead.
-func prewarmPlan(profiles []synth.Profile, bases [][]uint64, capBytes, line uint64) []uint64 {
-	cursors, lines := prewarmCursors(profiles, bases, capBytes, line)
-	plan := make([]uint64, 0, lines)
-	prewarmWalk(cursors, line, func(addr uint64) { plan = append(plan, addr) })
-	return plan
 }
 
 // collect folds the chip's accumulated measurements into a Result over a

@@ -12,19 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Main runs the synthesizer CLI and returns its exit code. prog selects
-// the flag defaults: "tracegen" keeps that command's historical
-// behavior (bench mode, legacy MFTRACE1 output, <bench>.trace default
-// path); anything else gets mflushtrace defaults (binary scenario
-// output, explicit -o). Both commands share every flag, so tracegen is
-// a true alias, not a fork.
+// Main runs the synthesizer CLI and returns its exit code; prog names
+// the program in usage and error messages.
 func Main(prog string, argv []string, stdout, stderr io.Writer) int {
-	legacy := prog == "tracegen"
-	defFormat := "binary"
-	if legacy {
-		defFormat = "mftrace"
-	}
-
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	mode := fs.String("mode", "bench", "synthesis mode: bench, ramp, sweep, burst, phase, mix")
@@ -32,9 +22,9 @@ func Main(prog string, argv []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 1_000_000, "instructions per thread")
 	out := fs.String("o", "", "output file (bench mode default: <bench>.trace)")
 	seed := fs.Uint64("seed", 1, "synthesis seed")
-	base := fs.Uint64("base", 0, "bench mode: thread-0 address-space base (tracegen compatibility)")
+	base := fs.Uint64("base", 0, "bench mode: record thread 0 as the raw (-seed, -base) generator stream (0: derive it as a live run does)")
 	threads := fs.Int("threads", 1, "threads for single-bench modes (mix: one per bench)")
-	format := fs.String("format", defFormat, "output encoding: binary (MFSCEN1), jsonl, mftrace (legacy, bench mode only)")
+	format := fs.String("format", "binary", "output encoding: binary (MFSCEN1), jsonl, mftrace (legacy, bench mode only)")
 	latLo := fs.Uint64("lat-lo", 400, "miss-latency override floor, cycles")
 	latHi := fs.Uint64("lat-hi", 2000, "miss-latency override ceiling, cycles")
 	tailFrac := fs.Float64("tail-frac", 0.05, "fraction of loads receiving an override")
@@ -44,10 +34,6 @@ func Main(prog string, argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	if legacy && *base == 0 {
-		*base = 1 << 34 // tracegen's historical default
-	}
-
 	if *list {
 		fmt.Fprintln(stdout, "letter  name      class")
 		for _, p := range synth.Profiles() {
@@ -113,8 +99,7 @@ func splitBenches(s string) []string {
 // WriteFile writes the scenario to path in the given encoding —
 // atomically: output lands in a temp file in the destination directory
 // and is renamed into place only after a clean close, so a mid-write
-// failure leaves no truncated file behind (the cmd/tracegen bug this
-// package retires).
+// failure leaves no truncated file behind.
 func WriteFile(path string, s *trace.Scenario, format string) error {
 	if format == "mftrace" {
 		if len(s.Threads) != 1 || len(s.Phases) > 0 {

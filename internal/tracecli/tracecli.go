@@ -1,6 +1,6 @@
-// Package tracecli implements the trace synthesizer behind both
-// cmd/mflushtrace and its legacy alias cmd/tracegen — one entry point
-// for every trace file the repo writes. Synthesis is fully
+// Package tracecli implements the trace synthesizer behind
+// cmd/mflushtrace — one entry point for every trace file the repo
+// writes. Synthesis is fully
 // deterministic: the same mode, flags and seed always produce a
 // byte-identical file (CI runs the tool twice and cmps), so a trace's
 // content digest — which campaign job keys hash — is reproducible from
@@ -8,8 +8,8 @@
 //
 // Modes:
 //
-//	bench  one benchmark, recorded verbatim (tracegen compatibility;
-//	       supports the legacy MFTRACE1 output format)
+//	bench  one benchmark, recorded verbatim (the only mode the legacy
+//	       MFTRACE1 output format can hold)
 //	ramp   miss-latency overrides ramp linearly from lat-lo to lat-hi
 //	       across the stream on a fraction of loads
 //	sweep  stepped latency levels, one per segment, with phase markers
@@ -49,9 +49,9 @@ type Config struct {
 	Threads int
 	// Seed drives every random draw.
 	Seed uint64
-	// Base overrides the thread-0 address base in bench mode only —
-	// the tracegen-compatible knob. Scenario modes always derive
-	// per-thread bases with sim.ReplayStream.
+	// Base, when non-zero, makes bench mode record thread 0 as the raw
+	// (Seed, Base) generator stream. Otherwise, and in every scenario
+	// mode, per-thread streams derive with sim.ReplayStream.
 	Base uint64
 	// LatLo and LatHi bound the miss-latency overrides in cycles.
 	LatLo, LatHi uint32
@@ -174,9 +174,9 @@ func record(src trace.Source, n int) []isa.Inst {
 	return out
 }
 
-// synthBench is the tracegen mode: the raw generator stream, no
-// overrides, no markers. The tracegen-compatible Base applies to
-// thread 0; further threads derive via sim.ReplayStream.
+// synthBench is bench mode: the raw generator stream, no overrides, no
+// markers. A non-zero Base applies to thread 0; further threads derive
+// via sim.ReplayStream.
 func synthBench(cfg Config, profs []synth.Profile) (*trace.Scenario, error) {
 	if len(profs) != 1 {
 		return nil, fmt.Errorf("tracecli: bench mode takes exactly one benchmark")

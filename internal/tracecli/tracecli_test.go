@@ -275,9 +275,8 @@ func TestWriteFileMftraceGuards(t *testing.T) {
 	}
 }
 
-// TestMain covers the CLI shell: -list, the tracegen-compat defaults,
-// flag validation, and that both program personalities share one code
-// path.
+// TestMain covers the CLI shell: -list, the default scenario output
+// and flag validation.
 func TestMain(t *testing.T) {
 	run := func(prog string, argv ...string) (int, string, string) {
 		var out, errb strings.Builder
@@ -304,33 +303,6 @@ func TestMain(t *testing.T) {
 		s, err := trace.LoadScenario(path)
 		if err != nil || len(s.Threads) != 2 {
 			t.Fatalf("output unreadable: %v", err)
-		}
-	})
-
-	t.Run("tracegen legacy defaults", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "mcf.trace")
-		code, _, errs := run("tracegen", "-bench", "mcf", "-n", "500", "-o", path)
-		if code != 0 {
-			t.Fatalf("exit %d: %s", code, errs)
-		}
-		// Default format is legacy MFTRACE1 with the historical base.
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(raw, []byte("MFTRACE1")) {
-			t.Fatalf("tracegen default output not MFTRACE1: %q", raw[:8])
-		}
-		prof, _ := synth.ByName("mcf")
-		gen := synth.NewGenerator(prof, 1, 1<<34)
-		s, err := trace.LoadScenario(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want isa.Inst
-		gen.Next(&want)
-		if s.Threads[0][0] != want {
-			t.Fatal("tracegen stream no longer matches the historical (seed, base) derivation")
 		}
 	})
 

@@ -98,8 +98,8 @@ func MFLUSHHistory(depth int) PolicySpec {
 	return sim.PolicySpec{Kind: sim.MFLUSH, History: depth}
 }
 
-// Run executes one simulation to completion (a thin wrapper over the
-// Session API; see sim.Run).
+// Run executes one simulation to completion (RunGang over one member;
+// see sim.Run).
 func Run(opt Options) (*Result, error) { return sim.Run(opt) }
 
 // Open starts an incremental simulation session positioned at cycle
@@ -107,8 +107,7 @@ func Run(opt Options) (*Result, error) { return sim.Run(opt) }
 func Open(opt Options) (*Session, error) { return sim.Open(opt) }
 
 // OpenGang starts a lockstep gang of sessions, one per Options, sharing
-// instruction streams and prewarm plans across members where the inputs
-// coincide. Results are bit-identical to opening each member solo.
+// instruction streams across members where the inputs coincide. Results are bit-identical to opening each member solo.
 func OpenGang(opts []Options) (*GangSession, error) { return sim.OpenGang(opts) }
 
 // RunGang executes a gang to completion: warm-up, measurement reset and
